@@ -10,7 +10,9 @@ Set ``--cache-dir`` (or the DESCMAT_CACHE_DIR environment variable) to
 keep the descendent coordinate matrices on disk between invocations;
 entries are keyed by weight/order and the package version, and writes go
 through a temp file plus rename so concurrent invocations never see a
-torn file.
+torn file.  Each entry carries a SHA-256 of its content; an entry that
+fails to parse, hash or match its weight's shape and labels is rebuilt
+and rewritten rather than trusted.
 """
 
 import argparse
@@ -96,25 +98,19 @@ def _build_matrix(args, k: int, positive: bool) -> LinearMatroid:
     path = os.path.join(
         cache_dir, f"a{k}_{tag}_o{effective_order}_v{__version__}.json"
     )
+    header = {"version": __version__, "weight": k, "positive": positive, "order": effective_order}
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("version") == __version__:
-            return LinearMatroid(
-                [[Fraction(x) for x in col] for col in payload["columns"]],
-                [tuple(lab) for lab in payload["labels"]],
-                nrows=payload["nrows"],
-            )
+        m = _load_entry(path, header)
+        if m is not None:
+            return m
     m = descendent_matrix(k, positive=positive, order=order, max_weight=max_weight)
     payload = {
-        "version": __version__,
-        "weight": k,
-        "positive": positive,
-        "order": effective_order,
+        **header,
         "nrows": m.nrows,
         "labels": [list(lab) for lab in m.labels],
         "columns": [[fraction_str(x) for x in col] for col in m.columns],
     }
+    payload["sha256"] = _digest(payload)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
@@ -126,6 +122,49 @@ def _build_matrix(args, k: int, positive: bool) -> LinearMatroid:
             os.unlink(tmp_path)
         raise
     return m
+
+
+def _digest(payload: dict) -> str:
+    """SHA-256 of the canonical JSON form of a cache entry."""
+    # Imported here: loading hashlib takes ~5 ms, which only cache users pay.
+    import hashlib
+
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _load_entry(path: str, header: dict) -> LinearMatroid | None:
+    """The matroid a cache entry holds, or None unless every check passes.
+
+    The entry must match ``header``, carry the weight's row count and
+    ground-set labels, hold one column of that height per label, and
+    hash to its stored digest; anything else, including an entry that
+    does not parse, is a miss.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        if not isinstance(payload, dict):
+            return None
+        digest = payload.pop("sha256", None)
+        labels = descendent_labels(header["weight"], header["positive"])
+        nrows = qm_dimension(header["weight"])
+        columns = payload.get("columns")
+        if (
+            digest != _digest(payload)
+            or any(payload.get(key) != value for key, value in header.items())
+            or payload.get("nrows") != nrows
+            or payload.get("labels") != [list(lab) for lab in labels]
+            or not isinstance(columns, list)
+            or len(columns) != len(labels)
+            or any(not isinstance(col, list) or len(col) != nrows for col in columns)
+        ):
+            return None
+        return LinearMatroid(
+            [[Fraction(x) for x in col] for col in columns], labels, nrows=nrows
+        )
+    except (ValueError, TypeError):
+        return None
 
 
 # -- subcommands --------------------------------------------------------------

@@ -2,25 +2,46 @@
 
 A descendent label is the multiset of insertion orders k_i >= 0, stored
 as a descending tuple; its weight is sum(k_i + 2).  The degree-d
-invariant is evaluated by the fast single-sum route
+invariant <tau_label>_d takes one of two routes, chosen by degree.  Let
+base(k) = qm_dimension(k) + EXPANSION_MARGIN, the order at which
+:func:`eisenstein_coordinates` solves by default.
 
-    sum over partitions lam of d of prod_i p_{k_i+1}(lam) / prod_i (k_i+1)!
+* d <= base(k): the partition sum
 
-(the character double sum collapses by row orthogonality; the character
-route survives in :mod:`descmat.characters` as an oracle).  The empty
-label is allowed and degenerates to the partition numbers.
+      sum over partitions lam of d of prod_i p_{k_i+1}(lam) / prod_i (k_i+1)!
+
+  (the character double sum collapses by row orthogonality; the
+  character route survives in :mod:`descmat.characters` as its oracle).
+  These terms feed the coordinates below, and the sum is the oracle of
+  the lift.
+* d > base(k): the quasimodular lift.  By the Bloch-Okounkov theorem the
+  bracket series (q)_inf * sum_d <tau_label>_d q^d of an even-weight
+  label is the weight-k quasimodular form sum_i c_i M_i over the
+  Eisenstein monomials M_i, with coordinates c_i solved from the first
+  base(k) + 1 partition sums.  The invariant is the d-th coefficient of
+  inverse_euler * sum_i c_i M_i, series arithmetic instead of p(d)
+  partitions.  Each label keeps its lifted coefficients at orders
+  base(k) * 2^j, so a degree sweep costs one expansion per doubling.
+
+Two kinds of label skip both routes.  An odd-weight label is 0 in
+every degree: conjugation gives p_k(lam') = (-1)^(k+1) p_k(lam), because
+the constant c_k vanishes for even k, so prod_i p_{k_i+1} changes sign
+under conjugation exactly when sum_i k_i, hence the weight, is odd; the
+sum over all partitions of d, which conjugation permutes, is then its
+own negative.  The empty label degenerates to the partition numbers p(d).
 """
 
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
 
-from .partitions import partitions_of
-from .qseries import QSeries, euler_function
+from .partitions import partition_count, partitions_of
+from .qseries import QSeries, euler_function, inverse_euler
 from .quasimodular import (
     EisensteinMonomial,
     eisenstein_monomials,
     expand_in_eisenstein,
+    monomial_series,
     qm_dimension,
 )
 from .shifted import shifted_power_sum
@@ -39,8 +60,13 @@ def as_label(insertions) -> DescendentLabel:
 
 
 def weight(label) -> int:
-    """Weight sum(k_i + 2) of a label; even, and 0 only for the empty label."""
+    """Weight sum(k_i + 2) of a label; 0 only for the empty label."""
     return sum(k + 2 for k in label)
+
+
+def _base_order(k: int) -> int:
+    """Highest degree a weight-k label evaluates by its partition sum."""
+    return qm_dimension(k) + EXPANSION_MARGIN
 
 
 def gw_invariant(label, d: int) -> Fraction:
@@ -52,6 +78,22 @@ def gw_invariant(label, d: int) -> Fraction:
 def _gw_invariant(label: DescendentLabel, d: int) -> Fraction:
     if d < 0:
         raise ValueError("degree must be nonnegative")
+    k = weight(label)
+    if k % 2:
+        return Fraction(0)
+    if not label:
+        return Fraction(partition_count(d))
+    base = _base_order(k)
+    if d <= base:
+        return _partition_sum(label, d)
+    order = base
+    while order < d:
+        order *= 2
+    return _lifted_series(label, order)[d]
+
+
+def _partition_sum(label: DescendentLabel, d: int) -> Fraction:
+    """The invariant as a sum over all p(d) partitions: the lift's oracle."""
     total = Fraction(0)
     for lam in partitions_of(d):
         term = Fraction(1)
@@ -59,6 +101,18 @@ def _gw_invariant(label: DescendentLabel, d: int) -> Fraction:
             term *= shifted_power_sum(k + 1, lam)
         total += term
     return total / prod(factorial(k + 1) for k in label)
+
+
+@cache
+def _lifted_series(label: DescendentLabel, order: int) -> QSeries:
+    """sum_d <tau_label>_d q^d to ``order``, from the label's coordinates."""
+    k = weight(label)
+    coords = _eisenstein_coordinates(label, _base_order(k))
+    form = QSeries([0], order=order)
+    for mono, coeff in zip(eisenstein_monomials(k), coords):
+        if coeff:
+            form = form + coeff * monomial_series(mono, order)
+    return inverse_euler(order) * form
 
 
 def bracket_series(label, order: int) -> QSeries:
@@ -83,7 +137,7 @@ def eisenstein_coordinates(label, order: int | None = None) -> tuple[Fraction, .
     if k < 2:
         raise ValueError("the empty label has no Eisenstein expansion")
     if order is None:
-        order = qm_dimension(k) + EXPANSION_MARGIN
+        order = _base_order(k)
     return _eisenstein_coordinates(lab, order)
 
 

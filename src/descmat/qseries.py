@@ -8,6 +8,8 @@ Values are immutable and safe to share between threads.
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
+from operator import mul
 
 from .partitions import partition_count, pentagonal_pairs
 from .shifted import bernoulli
@@ -86,12 +88,16 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
+            # Convolve integer numerators over one common denominator per
+            # operand: a single Fraction per output coefficient.
             n = min(self.order, other.order)
-            a, b = self.coeffs, other.coeffs
-            out = []
-            for m in range(n + 1):
-                out.append(sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0)))
-            return QSeries(out)
+            a, a_den = _over_common_denominator(self.coeffs[: n + 1])
+            b, b_den = _over_common_denominator(other.coeffs[: n + 1])
+            b.reverse()
+            den = a_den * b_den
+            return QSeries(
+                [Fraction(sum(map(mul, a[: m + 1], b[n - m :])), den) for m in range(n + 1)]
+            )
         if isinstance(other, (int, Fraction)):
             return QSeries([c * other for c in self.coeffs])
         return NotImplemented
@@ -145,6 +151,12 @@ class QSeries:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
+
+
+def _over_common_denominator(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 @cache

@@ -200,3 +200,33 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "matroid", "count", "--weight", "6")
     assert code == 0 and out == "4\n"
     assert list(cache.glob("*.json"))
+
+
+def test_cache_entry_with_an_altered_coefficient_is_rebuilt(tmp_path, capsys):
+    args = ("matroid", "matrix", "--weight", "8")
+    _, uncached, _ = run(capsys, *args)
+    cache = tmp_path / "cache"
+    run(capsys, *args, "--cache-dir", str(cache))
+    (entry,) = cache.glob("a8_all_*.json")
+    payload = json.loads(entry.read_text())
+    original = payload["columns"][0][0]
+    payload["columns"][0][0] = "999"
+    entry.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, *args, "--cache-dir", str(cache))
+    assert code == 0 and out == uncached
+    assert json.loads(entry.read_text())["columns"][0][0] == original
+
+
+def test_truncated_cache_entry_is_rebuilt_and_rewritten(tmp_path, capsys):
+    args = ("matroid", "matrix", "--weight", "8")
+    _, uncached, _ = run(capsys, *args)
+    cache = tmp_path / "cache"
+    run(capsys, *args, "--cache-dir", str(cache))
+    (entry,) = cache.glob("a8_all_*.json")
+    whole = entry.read_bytes()
+    entry.write_bytes(whole[: len(whole) // 2])
+    code, out, _ = run(capsys, *args, "--cache-dir", str(cache))
+    assert code == 0 and out == uncached
+    assert entry.read_bytes() == whole
+    code, out, _ = run(capsys, *args, "--cache-dir", str(cache))
+    assert code == 0 and out == uncached

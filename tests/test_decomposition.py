@@ -19,8 +19,10 @@ from descmat.decomposition import (
 )
 from descmat.linalg import SingularSystemError
 from descmat.matroid import descendent_matrix
+from descmat.partitions import _bounded_partitions
 from descmat.qseries import discriminant
 from descmat.quasimodular import InsufficientOrderError
+from descmat.shifted import shifted_power_sum
 
 
 def test_first_basis_row():
@@ -181,3 +183,16 @@ def test_relation_report_counts_hecke_cases():
 
 def test_default_solve_order_pins_25_coefficients_at_weight_12():
     assert default_solve_order(12) == 24
+
+
+def test_deep_tau_leaves_the_memo_tables_bounded():
+    # By partition sums, degree 60 would enumerate and memoize all
+    # p(60) = 966 467 partitions per invariant; the lift must leave the
+    # per-partition memo tables as the weight-12 solve left them.
+    rows = all_positive_decompositions(12)
+    memos = (shifted_power_sum, _bounded_partitions)
+    before = [memo.cache_info().currsize for memo in memos]
+    expected = tau_niebur(60)
+    for key, dec in rows:
+        assert tau_pentagonal(60, dec) == expected, key
+    assert [memo.cache_info().currsize for memo in memos] == before

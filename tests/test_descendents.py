@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from descmat.descendents import (
+    EXPANSION_MARGIN,
+    _partition_sum,
     as_label,
     bracket_series,
     eisenstein_coordinates,
@@ -10,6 +12,7 @@ from descmat.descendents import (
     to_eisenstein,
     weight,
 )
+from descmat.matroid import descendent_labels
 from descmat.partitions import partition_count
 from descmat.qseries import QSeries, eisenstein_series, euler_function
 from descmat.quasimodular import eisenstein_monomials, monomial_series, qm_dimension
@@ -40,8 +43,8 @@ def test_single_tau_zero_closed_form():
 
 
 def test_empty_label_degenerates_to_partition_numbers():
-    for d in range(8):
-        assert gw_invariant((), d) == partition_count(d)
+    for d in range(21):
+        assert gw_invariant((), d) == _partition_sum((), d) == partition_count(d)
     assert bracket_series((), 10) == QSeries([1], order=10)
 
 
@@ -129,3 +132,38 @@ def test_oracle_equivalence_spot_checks():
     for label in ((3, 1), (2, 1, 1), (4, 0), (0, 0, 0)):
         for d in range(6):
             assert gw_invariant(label, d) == gw_character_oracle(label, d)
+
+
+def base_order(label):
+    """Highest degree the label evaluates by its partition sum."""
+    return qm_dimension(weight(label)) + EXPANSION_MARGIN
+
+
+@pytest.mark.parametrize("label", [(2, 2), (6, 2), (4, 4, 2), (5, 3, 2)])
+def test_lift_matches_partition_sum_through_degree_thirty(label):
+    assert base_order(label) < 30
+    for d in range(31):
+        assert gw_invariant(label, d) == _partition_sum(label, d), d
+
+
+def test_lift_matches_partition_sum_above_every_base_to_weight_twelve():
+    for k in range(4, 13, 2):
+        for label in descendent_labels(k):
+            base = base_order(label)
+            for d in range(base + 1, base + 7):
+                assert gw_invariant(label, d) == _partition_sum(label, d), (label, d)
+
+
+def test_bracket_series_above_the_base_is_the_lifted_form():
+    label, order = (6, 2), 30
+    form = QSeries([0], order=order)
+    for mono, coeff in zip(eisenstein_monomials(12), eisenstein_coordinates(label)):
+        form = form + coeff * monomial_series(mono, order)
+    assert bracket_series(label, order) == form
+
+
+@pytest.mark.parametrize("label", [(1,), (3,), (2, 1), (0, 1), (3, 2, 2)])
+def test_odd_weight_invariants_vanish(label):
+    assert weight(label) % 2
+    for d in range(21):
+        assert gw_invariant(label, d) == 0 == _partition_sum(label, d), d

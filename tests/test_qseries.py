@@ -61,6 +61,15 @@ def test_ring_axioms(a, b, c):
     assert a + b == b + a
 
 
+@settings(max_examples=40)
+@given(small_series, small_series)
+def test_product_is_the_schoolbook_convolution(a, b):
+    expected = [
+        sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0)) for m in range(a.order + 1)
+    ]
+    assert (a * b).coeffs == tuple(expected)
+
+
 def test_euler_function_low_order():
     assert euler_function(7) == QSeries([1, -1, -1, 0, 0, 1, 0, 1])
 
