@@ -43,7 +43,14 @@ from .descendents import (
     gw_invariant,
     weight,
 )
-from .matroid import LinearMatroid, descendent_labels, descendent_matrix, named_restriction
+from .matroid import (
+    DEFAULT_MAX_WEIGHT,
+    LinearMatroid,
+    check_weight,
+    descendent_labels,
+    descendent_matrix,
+    named_restriction,
+)
 from .qseries import discriminant, fraction_str
 from .quasimodular import eisenstein_monomials, qm_dimension
 
@@ -91,9 +98,10 @@ def _build_matrix(args, k: int, positive: bool) -> LinearMatroid:
     order = args.order
     effective_order = order if order is not None else qm_dimension(k) + EXPANSION_MARGIN
     cache_dir = _cache_dir(args)
-    max_weight = getattr(args, "max_weight", None) or 18
+    max_weight = getattr(args, "max_weight", None) or DEFAULT_MAX_WEIGHT
     if cache_dir is None:
         return descendent_matrix(k, positive=positive, order=order, max_weight=max_weight)
+    check_weight(k, max_weight)
     tag = "pos" if positive else "all"
     path = os.path.join(
         cache_dir, f"a{k}_{tag}_o{effective_order}_v{__version__}.json"
@@ -275,20 +283,25 @@ def _decomposition_lines(key, dec) -> list[str]:
     return lines
 
 
-def _cmd_delta(args) -> int:
-    k = args.weight
-    if k != 12:
-        raise ValueError("the discriminant form has weight 12; use --weight 12")
-    indices = _parse_int_list(args.basis)
-    ground = descendent_labels(k, positive=args.positive)
+def _solve_delta(basis: str, positive: bool, order: int | None):
+    """The parsed 1-based ``basis`` indices and Δ over those ground-set labels."""
+    indices = _parse_int_list(basis)
+    ground = descendent_labels(12, positive=positive)
     if len(set(indices)) != len(indices):
         raise ValueError("basis indices must be distinct")
     if any(i < 1 or i > len(ground) for i in indices):
         raise ValueError(
             f"basis indices must lie in 1..{len(ground)} for this ground set"
         )
-    order = args.order if args.order is not None else default_solve_order(k)
-    dec = solve_linear([ground[i - 1] for i in indices], discriminant(order), k)
+    if order is None:
+        order = default_solve_order(12)
+    return indices, solve_linear([ground[i - 1] for i in indices], discriminant(order), 12)
+
+
+def _cmd_delta(args) -> int:
+    if args.weight != 12:
+        raise ValueError("the discriminant form has weight 12; use --weight 12")
+    indices, dec = _solve_delta(args.basis, args.positive, args.order)
     key = basis_key(indices)
     _emit(args, _decomposition_lines(key, dec), _decomposition_payload(key, dec))
     return 0
@@ -339,12 +352,7 @@ def _cmd_tau(args) -> int:
     elif args.method == "direct":
         value = tau_direct(args.d)
     else:
-        indices = _parse_int_list(args.basis or "1,2,3,4,5,6,7")
-        ground = descendent_labels(12, positive=True)
-        if any(i < 1 or i > len(ground) for i in indices):
-            raise ValueError(f"basis indices must lie in 1..{len(ground)}")
-        order = args.order if args.order is not None else default_solve_order(12)
-        dec = solve_linear([ground[i - 1] for i in indices], discriminant(order), 12)
+        _, dec = _solve_delta(args.basis or "1,2,3,4,5,6,7", True, args.order)
         value = tau_pentagonal(args.d, dec)
     _emit(args, [str(value)], {"d": args.d, "method": args.method, "value": value})
     return 0

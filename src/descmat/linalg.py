@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Everything runs through fraction-free (Bareiss) elimination on integer
-matrices obtained by clearing denominators row by row: no floating point,
-no pivot tolerance, and the two-term update keeps intermediate entries at
-minor-determinant size.
+One fraction-free (Bareiss) elimination kernel serves two entry points:
+:func:`int_row_rank` returns the rank it finds, and :func:`solve_exact`
+runs it on the target-augmented rows and back-substitutes.  Rational
+rows are made integer by clearing denominators row by row: no floating
+point, no pivot tolerance, and the two-term update keeps intermediate
+entries at minor-determinant size.
 """
 
 from fractions import Fraction
@@ -31,18 +33,21 @@ def scale_row_to_int(row) -> list[int]:
     return ints
 
 
-def int_row_rank(rows, stop_at: int | None = None) -> int:
-    """Rank of an integer matrix by Bareiss elimination with row pivoting.
+def _eliminate(m: list[list[int]], ncols: int) -> int:
+    """Bareiss-eliminate the integer rows ``m`` in place; return the rank.
 
-    ``stop_at`` allows early exit once the rank is known to reach it.
+    Pivots are sought only in the first ``ncols`` columns, but every
+    update runs to the end of the row, so trailing columns (an augmented
+    target) are carried along.  The k-th pivot lands in row k, and rows
+    from the rank on are zero in the first ``ncols`` columns; at rank
+    ``ncols`` the pivots are the diagonal entries.
     """
-    m = [list(r) for r in rows]
     nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    width = len(m[0]) if nrows else 0
     rank = 0
     prev = 1
     for c in range(ncols):
-        if rank == nrows or rank == stop_at:
+        if rank == nrows:
             break
         piv = None
         for i in range(rank, nrows):
@@ -59,10 +64,10 @@ def int_row_rank(rows, stop_at: int | None = None) -> int:
             ri = m[i]
             f = ri[c]
             if f:
-                for j in range(c + 1, ncols):
+                for j in range(c + 1, width):
                     ri[j] = (pv * ri[j] - f * pr[j]) // prev
             elif pv != prev:
-                for j in range(c + 1, ncols):
+                for j in range(c + 1, width):
                     ri[j] = (pv * ri[j]) // prev
             ri[c] = 0
         prev = pv
@@ -70,10 +75,10 @@ def int_row_rank(rows, stop_at: int | None = None) -> int:
     return rank
 
 
-def rational_rank(columns) -> int:
-    """Rank of a family of rational column vectors."""
-    rows = [scale_row_to_int(col) for col in columns]
-    return int_row_rank(rows)
+def int_row_rank(rows) -> int:
+    """Rank of an integer matrix by Bareiss elimination with row pivoting."""
+    m = [list(r) for r in rows]
+    return _eliminate(m, len(m[0]) if m else 0)
 
 
 def solve_exact(columns, target) -> list[Fraction]:
@@ -96,49 +101,18 @@ def solve_exact(columns, target) -> list[Fraction]:
         scale_row_to_int([columns[j][i] for j in range(ncols)] + [target[i]])
         for i in range(nrows)
     ]
-    rank = 0
-    prev = 1
-    pivots: list[tuple[int, int]] = []
-    for c in range(ncols):
-        if rank == nrows:
-            break
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        pv = pr[c]
-        for i in range(rank + 1, nrows):
-            ri = m[i]
-            f = ri[c]
-            if f:
-                for j in range(c + 1, ncols + 1):
-                    ri[j] = (pv * ri[j] - f * pr[j]) // prev
-            elif pv != prev:
-                for j in range(c + 1, ncols + 1):
-                    ri[j] = (pv * ri[j]) // prev
-            ri[c] = 0
-        prev = pv
-        pivots.append((rank, c))
-        rank += 1
-    if len(pivots) < ncols:
-        raise SingularSystemError(
-            f"column rank {len(pivots)} < {ncols}: system is singular"
-        )
-    for i in range(rank, nrows):
+    rank = _eliminate(m, ncols)
+    if rank < ncols:
+        raise SingularSystemError(f"column rank {rank} < {ncols}: system is singular")
+    for i in range(ncols, nrows):
         if m[i][ncols]:
             raise InconsistentSystemError(
                 f"row {i} is inconsistent: target is not in the column span"
             )
     x = [Fraction(0)] * ncols
-    for r, c in reversed(pivots):
+    for r in reversed(range(ncols)):
         s = Fraction(m[r][ncols])
-        for j in range(c + 1, ncols):
+        for j in range(r + 1, ncols):
             s -= m[r][j] * x[j]
-        x[c] = s / m[r][c]
+        x[r] = s / m[r][r]
     return x

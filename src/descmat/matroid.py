@@ -15,6 +15,7 @@ from math import comb
 from .descendents import eisenstein_coordinates
 from .linalg import int_row_rank, scale_row_to_int
 from .partitions import partitions_min_two
+from .qseries import join_signed
 from .quasimodular import qm_dimension
 
 DEFAULT_MAX_WEIGHT = 18
@@ -56,12 +57,7 @@ class TuttePolynomial:
             if j:
                 factors.append("y" if j == 1 else f"y^{j}")
             terms.append(("-" if c < 0 else "+", "*".join(factors)))
-        if not terms:
-            return "0"
-        text = ("-" if terms[0][0] == "-" else "") + terms[0][1]
-        for sign, body in terms[1:]:
-            text += f" {sign} {body}"
-        return text
+        return join_signed(terms)
 
     def __repr__(self):
         return f"TuttePolynomial({self.coeffs!r})"
@@ -119,8 +115,8 @@ class LinearMatroid:
                 raise ValueError(f"unknown label: {label!r}") from None
         return sorted(idxs)
 
-    def _subset_rank(self, idxs, stop_at: int | None = None) -> int:
-        return int_row_rank([self._int_columns[i] for i in idxs], stop_at=stop_at)
+    def _subset_rank(self, idxs) -> int:
+        return int_row_rank([self._int_columns[i] for i in idxs])
 
     def rank(self) -> int:
         if self._rank is None:
@@ -131,20 +127,20 @@ class LinearMatroid:
         idxs = self._indices_of(subset)
         return self._subset_rank(idxs) == len(idxs)
 
-    def bases(self):
-        """All bases, in lexicographic order of label indices."""
+    def _basis_indices(self):
+        """Index tuples of all bases, in lexicographic order."""
         r = self.rank()
         for idxs in combinations(range(len(self)), r):
-            if self._subset_rank(idxs, stop_at=r) == r:
-                yield tuple(self.labels[i] for i in idxs)
+            if self._subset_rank(idxs) == r:
+                yield idxs
+
+    def bases(self):
+        """All bases, in lexicographic order of label indices."""
+        for idxs in self._basis_indices():
+            yield tuple(self.labels[i] for i in idxs)
 
     def bases_count(self) -> int:
-        r = self.rank()
-        return sum(
-            1
-            for idxs in combinations(range(len(self)), r)
-            if self._subset_rank(idxs, stop_at=r) == r
-        )
+        return sum(1 for _ in self._basis_indices())
 
     def tutte(self) -> TuttePolynomial:
         """Corank-nullity sum over all subsets of the ground set."""
@@ -197,6 +193,14 @@ def descendent_labels(k: int, positive: bool = False) -> tuple:
     return labels
 
 
+def check_weight(k: int, max_weight: int) -> None:
+    """Raise ValueError unless k is a positive even weight within the cap."""
+    if k % 2 or k < 2:
+        raise ValueError(f"weight must be a positive even integer, got {k}")
+    if k > max_weight:
+        raise ValueError(f"weight {k} above the configured cap {max_weight}")
+
+
 def descendent_matrix(
     k: int,
     positive: bool = False,
@@ -209,10 +213,7 @@ def descendent_matrix(
     weight-k monomial order.  The weight cap is a desk-scale guard, not a
     mathematical limit; raise ``max_weight`` to go further.
     """
-    if k % 2 or k < 2:
-        raise ValueError(f"weight must be a positive even integer, got {k}")
-    if k > max_weight:
-        raise ValueError(f"weight {k} above the configured cap {max_weight}")
+    check_weight(k, max_weight)
     labels = descendent_labels(k, positive)
     columns = [eisenstein_coordinates(lab, order) for lab in labels]
     return LinearMatroid(columns, labels, nrows=qm_dimension(k))

@@ -23,8 +23,14 @@ def fraction_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
+def join_signed(terms) -> str:
+    """Join ``(sign, body)`` pairs as ``a + b - c``; no terms give ``0``."""
+    if not terms:
+        return "0"
+    text = ("-" if terms[0][0] == "-" else "") + terms[0][1]
+    for sign, body in terms[1:]:
+        text += f" {sign} {body}"
+    return text
 
 
 class QSeries:
@@ -125,7 +131,7 @@ class QSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QSeries":
-        return cls([parse_fraction(c) for c in obj["coeffs"]], order=obj["order"])
+        return cls([Fraction(c) for c in obj["coeffs"]], order=obj["order"])
 
     def __repr__(self):
         return f"QSeries({[str(c) for c in self.coeffs]})"
@@ -142,15 +148,8 @@ class QSeries:
             else:
                 q = "q" if n == 1 else f"q^{n}"
                 body = q if abs(c) == 1 else f"{fraction_str(abs(c))}*{q}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        if not parts:
-            return "0"
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            parts.append(("-" if c < 0 else "+", body))
+        return join_signed(parts)
 
 
 def _over_common_denominator(coeffs) -> tuple[list[int], int]:

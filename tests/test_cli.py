@@ -155,6 +155,8 @@ def test_domain_errors_exit_one(capsys):
     )
     assert code == 1
     assert json.loads(err)["error"]["type"] == "ValueError"
+    code, out, err = run(capsys, "tau", "--d", "5", "--basis", "1,1,2,3,4,5,6")
+    assert code == 1 and out == "" and "basis indices must be distinct" in err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -187,6 +189,9 @@ def test_cache_round_trip(tmp_path, capsys):
     # second run loads from the cache and agrees
     code, out, _ = run(capsys, *args)
     assert code == 0 and out == "4\n"
+    # a cached entry does not lift the weight cap
+    code, out, err = run(capsys, *args, "--max-weight", "6")
+    assert code == 1 and out == "" and "above the configured cap" in err
     # a stale-version payload is rebuilt rather than trusted
     payload["version"] = "0.0.0"
     files[0].write_text(json.dumps(payload))

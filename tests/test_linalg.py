@@ -7,7 +7,6 @@ from descmat.linalg import (
     InconsistentSystemError,
     SingularSystemError,
     int_row_rank,
-    rational_rank,
     scale_row_to_int,
     solve_exact,
 )
@@ -48,7 +47,6 @@ def test_bareiss_rank_matches_fraction_elimination(rows):
 
 def test_rank_early_stop():
     rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert int_row_rank(rows, stop_at=2) == 2
     assert int_row_rank(rows) == 3
 
 
@@ -64,7 +62,7 @@ def test_rational_rank_of_columns():
         (Fraction(5, 6), Fraction(-1)),
         (Fraction(1, 6), Fraction(1)),
     ]
-    assert rational_rank(cols) == 2
+    assert int_row_rank([scale_row_to_int(c) for c in cols]) == 2
 
 
 def test_solve_exact_simple_system():
@@ -131,3 +129,33 @@ def test_solve_exact_reproduces_known_combinations(cols_and_x):
         assert fraction_gauss_rank([list(r) for r in zip(*cols)]) < len(cols)
         return
     assert solution == list(x)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.integers(min_value=1, max_value=5).flatmap(
+            lambda h: st.tuples(
+                st.lists(
+                    st.lists(st.integers(min_value=-2, max_value=2), min_size=h, max_size=h),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.lists(st.integers(min_value=-3, max_value=3), min_size=h, max_size=h),
+            )
+        )
+    )
+)
+def test_solve_exact_verdicts_match_fraction_elimination(cols_and_target):
+    cols, target = cols_and_target
+    rows = [list(r) for r in zip(*cols)]
+    rank = fraction_gauss_rank(rows)
+    if rank < len(cols):
+        with pytest.raises(SingularSystemError):
+            solve_exact(cols, target)
+    elif fraction_gauss_rank([r + [t] for r, t in zip(rows, target)]) > rank:
+        with pytest.raises(InconsistentSystemError):
+            solve_exact(cols, target)
+    else:
+        x = solve_exact(cols, target)
+        assert [sum(xj * c for xj, c in zip(x, row)) for row in rows] == target

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_linalg import fraction_gauss_rank
 
 from descmat.matroid import (
     LinearMatroid,
@@ -259,3 +261,30 @@ def test_linear_matroid_validation():
     empty = LinearMatroid([], [], nrows=3)
     assert empty.rank() == 0
     assert empty.bases_count() == 1
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda h: st.lists(
+            st.lists(
+                st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                min_size=h,
+                max_size=h,
+            ),
+            min_size=1,
+            max_size=7,
+        )
+    )
+)
+def test_bases_match_fraction_elimination(columns):
+    m = LinearMatroid(columns, range(len(columns)))
+    r = fraction_gauss_rank(columns)
+    full = [
+        idxs
+        for idxs in combinations(range(len(columns)), r)
+        if fraction_gauss_rank([columns[i] for i in idxs]) == r
+    ]
+    assert m.rank() == r
+    assert list(m.bases()) == full
+    assert m.bases_count() == len(full)

@@ -12,7 +12,6 @@ from descmat.qseries import (
     euler_function,
     fraction_str,
     inverse_euler,
-    parse_fraction,
     sigma,
 )
 
@@ -140,7 +139,6 @@ def test_json_round_trip():
 def test_fraction_str_forms():
     assert fraction_str(Fraction(-3, 4)) == "-3/4"
     assert fraction_str(Fraction(8, 2)) == "4"
-    assert parse_fraction("-3/4") == Fraction(-3, 4)
 
 
 def test_str_mimics_transcript_shape():
