@@ -16,7 +16,6 @@ from .decomposition import (
     PolynomialDecomposition,
     all_positive_decompositions,
     basis_key,
-    default_solve_order,
     poly_basis_expand,
     positive_ground_set,
     solve_linear,

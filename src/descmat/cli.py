@@ -7,8 +7,9 @@ machine-readable payload.  Exit codes: 0 success, 1 domain error, 2
 usage error.
 
 Set ``--cache-dir`` (or the DESCMAT_CACHE_DIR environment variable) to
-keep the descendent coordinate matrices on disk between invocations;
-entries are keyed by weight/order and the package version, and writes go
+keep the descendent coordinate matrices of ``matroid`` and
+``conjecture-check`` on disk between invocations; entries are keyed by
+weight, ground set (all or positive) and package version, and writes go
 through a temp file plus rename so concurrent invocations never see a
 torn file.  Each entry carries a SHA-256 of its content; an entry that
 fails to parse, hash or match its weight's shape and labels is rebuilt
@@ -21,13 +22,13 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from math import comb
 
 from . import __version__
 from .decomposition import (
     GENERATOR_TRIPLES,
     all_positive_decompositions,
     basis_key,
-    default_solve_order,
     poly_basis_expand,
     solve_linear,
     tau_direct,
@@ -36,7 +37,6 @@ from .decomposition import (
     tau_relation_report,
 )
 from .descendents import (
-    EXPANSION_MARGIN,
     as_label,
     bracket_series,
     to_eisenstein,
@@ -52,9 +52,13 @@ from .matroid import (
     named_restriction,
 )
 from .qseries import discriminant, fraction_str
-from .quasimodular import eisenstein_monomials, qm_dimension
+from .quasimodular import base_order, eisenstein_monomials, qm_dimension
 
 CACHE_ENV_VAR = "DESCMAT_CACHE_DIR"
+# `matroid count|bases` refuses to enumerate more candidate subsets than
+# this: each is one exact rank test, and the C(34, 8) = 18 156 204 of
+# full weight 14 would take minutes.
+ENUMERATION_CAP = 10**6
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -93,25 +97,20 @@ def _cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get(CACHE_ENV_VAR)
 
 
-def _build_matrix(args, k: int, positive: bool) -> LinearMatroid:
+def _build_matrix(args, k: int, positive: bool, max_weight: int) -> LinearMatroid:
     """Descendent matroid for the CLI, with optional on-disk caching."""
-    order = args.order
-    effective_order = order if order is not None else qm_dimension(k) + EXPANSION_MARGIN
     cache_dir = _cache_dir(args)
-    max_weight = getattr(args, "max_weight", None) or DEFAULT_MAX_WEIGHT
     if cache_dir is None:
-        return descendent_matrix(k, positive=positive, order=order, max_weight=max_weight)
+        return descendent_matrix(k, positive=positive, max_weight=max_weight)
     check_weight(k, max_weight)
     tag = "pos" if positive else "all"
-    path = os.path.join(
-        cache_dir, f"a{k}_{tag}_o{effective_order}_v{__version__}.json"
-    )
-    header = {"version": __version__, "weight": k, "positive": positive, "order": effective_order}
+    path = os.path.join(cache_dir, f"a{k}_{tag}_v{__version__}.json")
+    header = {"version": __version__, "weight": k, "positive": positive}
     if os.path.exists(path):
         m = _load_entry(path, header)
         if m is not None:
             return m
-    m = descendent_matrix(k, positive=positive, order=order, max_weight=max_weight)
+    m = descendent_matrix(k, positive=positive, max_weight=max_weight)
     payload = {
         **header,
         "nrows": m.nrows,
@@ -193,7 +192,10 @@ def _cmd_expand(args) -> int:
     label = as_label(_parse_int_list(args.insertions))
     order = args.order
     if order is None:
-        order = qm_dimension(max(weight(label), 2)) + EXPANSION_MARGIN
+        # An odd-weight series is identically 0; it takes the order of
+        # the even weight below.
+        k = weight(label)
+        order = base_order(k - k % 2)
     series = bracket_series(label, order)
     _emit(args, [str(series)], series.to_json())
     return 0
@@ -201,7 +203,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_eisenstein(args) -> int:
     label = as_label(_parse_int_list(args.insertions))
-    expansion = to_eisenstein(label, order=args.order)
+    expansion = to_eisenstein(label)
     body = ", ".join(
         f"{mono.weight_tuple()}: {fraction_str(coeff)}"
         for mono, coeff in expansion.items()
@@ -233,7 +235,14 @@ def _cmd_matroid(args) -> int:
         labels = descendent_labels(k, positive=args.positive)
         _emit(args, [_label_list_str(labels)], [list(lab) for lab in labels])
         return 0
-    m = _build_matrix(args, k, args.positive)
+    m = _build_matrix(args, k, args.positive, args.max_weight)
+    if args.action in ("count", "bases"):
+        n, r = len(m), m.rank()
+        if comb(n, r) > ENUMERATION_CAP:
+            raise ValueError(
+                f"enumerating the bases takes C({n}, {r}) = {comb(n, r)} rank tests, "
+                f"above the cap {ENUMERATION_CAP}"
+            )
     if args.action == "matrix":
         rows = m.matrix()
         payload = {
@@ -283,7 +292,7 @@ def _decomposition_lines(key, dec) -> list[str]:
     return lines
 
 
-def _solve_delta(basis: str, positive: bool, order: int | None):
+def _solve_delta(basis: str, positive: bool):
     """The parsed 1-based ``basis`` indices and Δ over those ground-set labels."""
     indices = _parse_int_list(basis)
     ground = descendent_labels(12, positive=positive)
@@ -293,22 +302,21 @@ def _solve_delta(basis: str, positive: bool, order: int | None):
         raise ValueError(
             f"basis indices must lie in 1..{len(ground)} for this ground set"
         )
-    if order is None:
-        order = default_solve_order(12)
-    return indices, solve_linear([ground[i - 1] for i in indices], discriminant(order), 12)
+    target = discriminant(base_order(12))
+    return indices, solve_linear([ground[i - 1] for i in indices], target, 12)
 
 
 def _cmd_delta(args) -> int:
     if args.weight != 12:
         raise ValueError("the discriminant form has weight 12; use --weight 12")
-    indices, dec = _solve_delta(args.basis, args.positive, args.order)
+    indices, dec = _solve_delta(args.basis, args.positive)
     key = basis_key(indices)
     _emit(args, _decomposition_lines(key, dec), _decomposition_payload(key, dec))
     return 0
 
 
 def _cmd_delta_all(args) -> int:
-    rows = all_positive_decompositions(args.weight, order=args.order)
+    rows = all_positive_decompositions(args.weight)
     payload = [_decomposition_payload(key, dec) for key, dec in rows]
     lines = [
         f"{key} scale={dec.scale} coeffs="
@@ -352,7 +360,7 @@ def _cmd_tau(args) -> int:
     elif args.method == "direct":
         value = tau_direct(args.d)
     else:
-        _, dec = _solve_delta(args.basis or "1,2,3,4,5,6,7", True, args.order)
+        _, dec = _solve_delta(args.basis or "1,2,3,4,5,6,7", True)
         value = tau_pentagonal(args.d, dec)
     _emit(args, [str(value)], {"d": args.d, "method": args.method, "value": value})
     return 0
@@ -383,10 +391,14 @@ def _cmd_tau_check(args) -> int:
 
 
 def _cmd_conjecture_check(args) -> int:
+    if args.max_weight < 4:
+        raise ValueError(
+            f"conjecture-check starts at weight 4; got --max-weight {args.max_weight}"
+        )
     lines = []
     ranks = []
     for k in range(4, args.max_weight + 1, 2):
-        m = _build_matrix(args, k, positive=False)
+        m = _build_matrix(args, k, positive=False, max_weight=args.max_weight)
         r, dim = m.rank(), qm_dimension(k)
         ranks.append({"weight": k, "rank": r, "dimension": dim, "match": r == dim})
         lines.append(
@@ -396,7 +408,8 @@ def _cmd_conjecture_check(args) -> int:
     for k in (14, 16, 18):
         if k > args.max_weight:
             continue
-        uniform = named_restriction(k, base=_build_matrix(args, k, positive=True)).is_uniform()
+        base = _build_matrix(args, k, positive=True, max_weight=args.max_weight)
+        uniform = named_restriction(k, base=base).is_uniform()
         restrictions.append(
             {"weight": k, "uniform": list(uniform) if uniform else None}
         )
@@ -424,10 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    common.add_argument(
-        "--order", type=int, default=None, help="override the working series order"
-    )
-    common.add_argument(
+    cached = argparse.ArgumentParser(add_help=False)
+    cached.add_argument(
         "--cache-dir",
         default=None,
         help=f"directory for the coordinate-matrix cache (default ${CACHE_ENV_VAR})",
@@ -448,6 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", parents=[common], help="q-expansion of a descendent series")
     p.add_argument("--insertions", required=True)
+    p.add_argument(
+        "--order", type=int, default=None, help="series order (default: the label's base order)"
+    )
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser(
@@ -456,13 +470,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--insertions", required=True)
     p.set_defaults(func=_cmd_eisenstein)
 
-    p = sub.add_parser("matroid", parents=[common], help="descendent matroid computations")
+    p = sub.add_parser(
+        "matroid", parents=[common, cached], help="descendent matroid computations"
+    )
     p.add_argument(
         "action", choices=("matrix", "rank", "groundset", "bases", "count", "tutte")
     )
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--positive", action="store_true", help="restrict to positive insertions")
-    p.add_argument("--max-weight", type=int, default=None, help="raise the weight cap")
+    p.add_argument(
+        "--max-weight", type=int, default=DEFAULT_MAX_WEIGHT, help="raise the weight cap"
+    )
     p.set_defaults(func=_cmd_matroid)
 
     p = sub.add_parser(
@@ -500,10 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "conjecture-check",
-        parents=[common],
+        parents=[common, cached],
         help="rank-vs-dimension sweep and the curated uniform restrictions",
     )
-    p.add_argument("--max-weight", type=int, default=18)
+    p.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT)
     p.set_defaults(func=_cmd_conjecture_check)
 
     return parser

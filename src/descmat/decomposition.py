@@ -20,19 +20,24 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .descendents import DescendentLabel, as_label, bracket_series, gw_invariant, weight
+from .descendents import (
+    DescendentLabel,
+    as_label,
+    bracket_series,
+    eisenstein_coordinates,
+    gw_invariant,
+    weight,
+)
 from .linalg import solve_exact
 from .matroid import descendent_labels
 from .partitions import pentagonal_pairs
 from .qseries import QSeries, discriminant, sigma
-from .quasimodular import InsufficientOrderError, eisenstein_monomials, qm_dimension
-
-SOLVE_MARGIN = 10
-
-
-def default_solve_order(k: int) -> int:
-    """Working order for weight-k linear solving (25 coefficients at k=12)."""
-    return qm_dimension(k) + 17
+from .quasimodular import (
+    base_order,
+    eisenstein_monomials,
+    expand_in_eisenstein,
+    qm_dimension,
+)
 
 
 @dataclass(frozen=True)
@@ -54,10 +59,12 @@ class LinearDecomposition:
 def solve_linear(basis, target: QSeries, k: int) -> LinearDecomposition:
     """Express ``target`` over the given weight-k descendent labels.
 
-    The basis must have qm_dimension(k) elements and the target at least
-    ten coefficients beyond that, which are all verified against the
-    solution.  A dependent basis raises SingularSystemError; a target
-    outside the span raises InconsistentSystemError.
+    The basis must have qm_dimension(k) distinct weight-k labels.  The
+    target is read once, as its Eisenstein coordinates (a series that is
+    no weight-k form raises InconsistentSystemError), and solved over the
+    labels' coordinates, since each label's bracket series is the form of
+    its coordinates (Bloch-Okounkov).  A dependent basis raises
+    SingularSystemError.
     """
     labels = tuple(as_label(b) for b in basis)
     if len(set(labels)) != len(labels):
@@ -68,13 +75,13 @@ def solve_linear(basis, target: QSeries, k: int) -> LinearDecomposition:
     bad = [lab for lab in labels if weight(lab) != k]
     if bad:
         raise ValueError(f"labels of wrong weight for k={k}: {bad}")
-    if target.order < dim + SOLVE_MARGIN:
-        raise InsufficientOrderError(
-            f"solving weight {k} needs target order >= {dim + SOLVE_MARGIN}, "
-            f"got {target.order}"
-        )
-    columns = [bracket_series(lab, target.order).coeffs for lab in labels]
-    x = tuple(solve_exact(columns, target.coeffs))
+    return _solve_coordinates(labels, expand_in_eisenstein(target, k))
+
+
+def _solve_coordinates(labels, target_coords) -> LinearDecomposition:
+    """The decomposition of a coordinate vector over distinct labels."""
+    columns = [eisenstein_coordinates(lab) for lab in labels]
+    x = tuple(solve_exact(columns, target_coords))
     scale = lcm(*(c.denominator for c in x))
     return LinearDecomposition(labels, x, scale)
 
@@ -89,9 +96,7 @@ def basis_key(indices) -> str:
     return "(" + "".join(str(i) for i in sorted(indices)) + ")"
 
 
-def all_positive_decompositions(
-    k: int = 12, order: int | None = None
-) -> list[tuple[str, LinearDecomposition]]:
+def all_positive_decompositions(k: int = 12) -> list[tuple[str, LinearDecomposition]]:
     """One discriminant decomposition per basis of the positive restriction.
 
     Weight 12 only: there the positive restriction is uniform of rank 7 on
@@ -100,18 +105,12 @@ def all_positive_decompositions(
     """
     if k != 12:
         raise ValueError("positive-basis discriminant tables exist for weight 12 only")
-    if order is None:
-        order = default_solve_order(k)
     ground = positive_ground_set(k)
-    dim = qm_dimension(k)
-    target = discriminant(order)
-    out = []
-    for idxs in combinations(range(1, len(ground) + 1), dim):
-        decomposition = solve_linear(
-            [ground[i - 1] for i in idxs], target, k
-        )
-        out.append((basis_key(idxs), decomposition))
-    return out
+    target = expand_in_eisenstein(discriminant(base_order(k)), k)
+    return [
+        (basis_key(idxs), _solve_coordinates(tuple(ground[i - 1] for i in idxs), target))
+        for idxs in combinations(range(1, len(ground) + 1), qm_dimension(k))
+    ]
 
 
 GENERATOR_TRIPLES: dict[int, tuple[DescendentLabel, ...]] = {

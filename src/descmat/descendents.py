@@ -3,8 +3,8 @@
 A descendent label is the multiset of insertion orders k_i >= 0, stored
 as a descending tuple; its weight is sum(k_i + 2).  The degree-d
 invariant <tau_label>_d takes one of two routes, chosen by degree.  Let
-base(k) = qm_dimension(k) + EXPANSION_MARGIN, the order at which
-:func:`eisenstein_coordinates` solves by default.
+base(k) = :func:`~descmat.quasimodular.base_order`, the order at which
+:func:`eisenstein_coordinates` solves.
 
 * d <= base(k): the partition sum
 
@@ -39,16 +39,14 @@ from .partitions import partition_count, partitions_of
 from .qseries import QSeries, euler_function, inverse_euler
 from .quasimodular import (
     EisensteinMonomial,
+    base_order,
     eisenstein_monomials,
     expand_in_eisenstein,
     monomial_series,
-    qm_dimension,
 )
 from .shifted import shifted_power_sum
 
 DescendentLabel = tuple[int, ...]
-
-EXPANSION_MARGIN = 5
 
 
 def as_label(insertions) -> DescendentLabel:
@@ -62,11 +60,6 @@ def as_label(insertions) -> DescendentLabel:
 def weight(label) -> int:
     """Weight sum(k_i + 2) of a label; 0 only for the empty label."""
     return sum(k + 2 for k in label)
-
-
-def _base_order(k: int) -> int:
-    """Highest degree a weight-k label evaluates by its partition sum."""
-    return qm_dimension(k) + EXPANSION_MARGIN
 
 
 def gw_invariant(label, d: int) -> Fraction:
@@ -83,7 +76,7 @@ def _gw_invariant(label: DescendentLabel, d: int) -> Fraction:
         return Fraction(0)
     if not label:
         return Fraction(partition_count(d))
-    base = _base_order(k)
+    base = base_order(k)
     if d <= base:
         return _partition_sum(label, d)
     order = base
@@ -107,7 +100,7 @@ def _partition_sum(label: DescendentLabel, d: int) -> Fraction:
 def _lifted_series(label: DescendentLabel, order: int) -> QSeries:
     """sum_d <tau_label>_d q^d to ``order``, from the label's coordinates."""
     k = weight(label)
-    coords = _eisenstein_coordinates(label, _base_order(k))
+    coords = _eisenstein_coordinates(label)
     form = QSeries([0], order=order)
     for mono, coeff in zip(eisenstein_monomials(k), coords):
         if coeff:
@@ -126,30 +119,27 @@ def _bracket_series(label: DescendentLabel, order: int) -> QSeries:
     return euler_function(order) * inner
 
 
-def eisenstein_coordinates(label, order: int | None = None) -> tuple[Fraction, ...]:
+def eisenstein_coordinates(label) -> tuple[Fraction, ...]:
     """Full coordinate vector of the bracket series in the weight-k basis.
 
-    Weight-k monomial order, zeros kept.  Default order is
-    qm_dimension(k) + 5, enough to solve plus the consistency margin.
+    Weight-k monomial order, zeros kept; solved and checked at base(k).
     """
     lab = as_label(label)
-    k = weight(lab)
-    if k < 2:
+    if not lab:
         raise ValueError("the empty label has no Eisenstein expansion")
-    if order is None:
-        order = _base_order(k)
-    return _eisenstein_coordinates(lab, order)
+    return _eisenstein_coordinates(lab)
 
 
 @cache
-def _eisenstein_coordinates(label: DescendentLabel, order: int) -> tuple[Fraction, ...]:
-    return expand_in_eisenstein(_bracket_series(label, order), weight(label))
+def _eisenstein_coordinates(label: DescendentLabel) -> tuple[Fraction, ...]:
+    k = weight(label)
+    return expand_in_eisenstein(_bracket_series(label, base_order(k)), k)
 
 
-def to_eisenstein(label, order: int | None = None) -> dict[EisensteinMonomial, Fraction]:
+def to_eisenstein(label) -> dict[EisensteinMonomial, Fraction]:
     """Nonzero Eisenstein coordinates of the bracket series, as a mapping."""
     lab = as_label(label)
-    coords = eisenstein_coordinates(lab, order)
+    coords = eisenstein_coordinates(lab)
     return {
         mono: coeff
         for mono, coeff in zip(eisenstein_monomials(weight(lab)), coords)

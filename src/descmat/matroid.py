@@ -202,10 +202,7 @@ def check_weight(k: int, max_weight: int) -> None:
 
 
 def descendent_matrix(
-    k: int,
-    positive: bool = False,
-    order: int | None = None,
-    max_weight: int = DEFAULT_MAX_WEIGHT,
+    k: int, positive: bool = False, max_weight: int = DEFAULT_MAX_WEIGHT
 ) -> LinearMatroid:
     """The weight-k descendent matroid as a labeled coordinate matrix.
 
@@ -215,7 +212,7 @@ def descendent_matrix(
     """
     check_weight(k, max_weight)
     labels = descendent_labels(k, positive)
-    columns = [eisenstein_coordinates(lab, order) for lab in labels]
+    columns = [eisenstein_coordinates(lab) for lab in labels]
     return LinearMatroid(columns, labels, nrows=qm_dimension(k))
 
 
@@ -226,9 +223,7 @@ _NAMED_RESTRICTION_DROPS: dict[int, frozenset] = {
 }
 
 
-def named_restriction(
-    k: int, order: int | None = None, *, base: LinearMatroid | None = None
-) -> LinearMatroid:
+def named_restriction(k: int, *, base: LinearMatroid | None = None) -> LinearMatroid:
     """The curated positive restrictions in weights 14, 16 and 18.
 
     Keeps the positive labels with at most three insertions and removes a
@@ -244,6 +239,6 @@ def named_restriction(
         raise ValueError(
             f"named restrictions exist for weights 14, 16, 18; got {k}"
         ) from None
-    m = base if base is not None else descendent_matrix(k, positive=True, order=order)
+    m = base if base is not None else descendent_matrix(k, positive=True)
     keep = [lab for lab in m.labels if len(lab) <= 3 and lab not in drops]
     return m.restrict(keep)

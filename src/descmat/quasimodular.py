@@ -12,6 +12,8 @@ from typing import NamedTuple
 from .linalg import InconsistentSystemError, SingularSystemError, solve_exact
 from .qseries import QSeries, eisenstein_series
 
+EXPANSION_MARGIN = 5
+
 
 class InsufficientOrderError(ValueError):
     """The series carries too few coefficients to solve and cross-check."""
@@ -45,6 +47,11 @@ def qm_dimension(k: int) -> int:
     return sum((half - 3 * c) // 2 + 1 for c in range(half // 3 + 1))
 
 
+def base_order(k: int) -> int:
+    """Order of a weight-k solve: qm_dimension(k) pivots, EXPANSION_MARGIN checks."""
+    return qm_dimension(k) + EXPANSION_MARGIN
+
+
 @cache
 def eisenstein_monomials(k: int) -> tuple[EisensteinMonomial, ...]:
     """All weight-k monomials in the frozen row order."""
@@ -68,22 +75,21 @@ def monomial_series(mono: EisensteinMonomial, order: int) -> QSeries:
     return series
 
 
-def expand_in_eisenstein(series: QSeries, k: int, margin: int = 5):
+def expand_in_eisenstein(series: QSeries, k: int):
     """Coordinates of a weight-k series in the Eisenstein monomial basis.
 
-    The series must carry at least ``qm_dimension(k) + margin``
-    coefficients; rows beyond the pivot set are checked against the
-    solution, which turns "not actually a weight-k form" from a silent
-    wrong answer into :class:`~descmat.linalg.InconsistentSystemError`.
-    Returns the full coefficient vector in monomial order.
+    The series must carry at least ``base_order(k)`` coefficients; rows
+    beyond the pivot set are checked against the solution, which turns
+    "not actually a weight-k form" from a silent wrong answer into
+    :class:`~descmat.linalg.InconsistentSystemError`.  Returns the full
+    coefficient vector in monomial order.
     """
-    dim = qm_dimension(k)
-    monomials = eisenstein_monomials(k)
-    if series.order < dim + margin:
+    base = base_order(k)
+    if series.order < base:
         raise InsufficientOrderError(
-            f"weight-{k} expansion needs order >= {dim + margin}, got {series.order}"
+            f"weight-{k} expansion needs order >= {base}, got {series.order}"
         )
-    columns = [monomial_series(m, series.order).coeffs for m in monomials]
+    columns = [monomial_series(m, series.order).coeffs for m in eisenstein_monomials(k)]
     return tuple(solve_exact(columns, series.coeffs))
 
 
@@ -92,6 +98,7 @@ __all__ = [
     "InsufficientOrderError",
     "InconsistentSystemError",
     "SingularSystemError",
+    "base_order",
     "eisenstein_monomials",
     "expand_in_eisenstein",
     "monomial_series",

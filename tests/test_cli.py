@@ -235,3 +235,57 @@ def test_truncated_cache_entry_is_rebuilt_and_rewritten(tmp_path, capsys):
     assert entry.read_bytes() == whole
     code, out, _ = run(capsys, *args, "--cache-dir", str(cache))
     assert code == 0 and out == uncached
+
+
+def test_matroid_max_weight_zero_is_a_cap_of_zero(capsys):
+    code, out, err = run(capsys, "matroid", "rank", "--weight", "8", "--max-weight", "0")
+    assert code == 1 and out == "" and "above the configured cap 0" in err
+
+
+def test_conjecture_check_refuses_a_max_weight_below_four(capsys):
+    for cap in ("0", "2"):
+        code, out, err = run(capsys, "conjecture-check", "--max-weight", cap)
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_enumeration_above_the_cap_is_refused(capsys):
+    # full weight 14 has C(34, 8) = 18 156 204 candidate subsets
+    for action in ("count", "bases"):
+        code, out, err = run(capsys, "matroid", action, "--weight", "14")
+        assert code == 1 and out == "" and "C(34, 8)" in err
+
+
+def test_expand_odd_weight_label_is_zero(capsys):
+    code, out, _ = run(capsys, "expand", "--insertions", "1")
+    assert code == 0 and out == "0\n"
+    code, out, _ = run(capsys, "expand", "--insertions", "1", "--format", "json")
+    assert code == 0 and json.loads(out) == {"order": 6, "coeffs": ["0"] * 7}
+
+
+SUBCOMMANDS = {
+    "evaluate": ["--insertions", "2,2", "--degree", "3"],
+    "expand": ["--insertions", "2,2"],
+    "eisenstein": ["--insertions", "2,2"],
+    "matroid": ["rank", "--weight", "4"],
+    "delta": ["--basis", "1,2,3,4,5,6,7", "--positive"],
+    "delta-all": [],
+    "delta-poly": ["--type", "1"],
+    "tau": ["--d", "1", "--method", "niebur"],
+    "tau-check": ["--max-d", "12"],
+    "conjecture-check": ["--max-weight", "4"],
+}
+FLAG_OWNERS = {"--order": {"expand"}, "--cache-dir": {"matroid", "conjecture-check"}}
+
+
+def test_order_and_cache_dir_belong_to_their_commands(tmp_path, capsys):
+    for flag, owners in FLAG_OWNERS.items():
+        value = "3" if flag == "--order" else str(tmp_path / "cache")
+        for command, args in SUBCOMMANDS.items():
+            argv = [command, *args, flag, value]
+            if command in owners:
+                assert run(capsys, *argv)[0] == 0, argv
+                continue
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
+            assert flag in capsys.readouterr().err, argv

@@ -8,7 +8,6 @@ from descmat.decomposition import (
     GENERATOR_TRIPLES,
     all_positive_decompositions,
     basis_key,
-    default_solve_order,
     poly_basis_expand,
     positive_ground_set,
     solve_linear,
@@ -17,10 +16,11 @@ from descmat.decomposition import (
     tau_pentagonal,
     tau_relation_report,
 )
-from descmat.linalg import SingularSystemError
+from descmat.descendents import bracket_series
+from descmat.linalg import InconsistentSystemError, SingularSystemError
 from descmat.matroid import descendent_matrix
 from descmat.partitions import _bounded_partitions
-from descmat.qseries import discriminant
+from descmat.qseries import QSeries, discriminant
 from descmat.quasimodular import InsufficientOrderError
 from descmat.shifted import shifted_power_sum
 
@@ -52,8 +52,6 @@ def test_scale_is_least_common_denominator():
 
 
 def test_dependent_basis_is_rejected():
-    from descmat.descendents import bracket_series
-
     m8 = descendent_matrix(8)
     dependent = [(4, 0), (2, 0, 0), (1, 1, 0), (0, 0, 0, 0)]
     assert not m8.is_independent(dependent)
@@ -70,6 +68,9 @@ def test_solve_linear_input_validation():
         solve_linear(ground[:6] + ((2,),), discriminant(24), 12)
     with pytest.raises(InsufficientOrderError):
         solve_linear(ground[:7], discriminant(10), 12)
+    # a weight-10 form is no weight-12 target
+    with pytest.raises(InconsistentSystemError):
+        solve_linear(ground[:7], bracket_series((8,), 24), 12)
 
 
 def test_positive_ground_set_and_keys():
@@ -88,6 +89,17 @@ def test_all_positive_decompositions_count_and_order():
     assert keys == expected
     with pytest.raises(ValueError):
         all_positive_decompositions(10)
+
+
+def test_decompositions_rebuild_the_discriminant_series():
+    # The q-series oracle of the coordinate-space solve: every row's
+    # combination of bracket series is the discriminant itself.
+    order = 24
+    for key, dec in all_positive_decompositions(12):
+        total = QSeries([0], order=order)
+        for label, coeff in zip(dec.basis, dec.coefficients):
+            total = total + coeff * bracket_series(label, order)
+        assert total == discriminant(order), key
 
 
 def test_decompositions_share_tau_values():
@@ -179,10 +191,6 @@ def test_relation_report_counts_hecke_cases():
     # prime powers p^(r+1) <= 30: 4, 8, 16, 9, 27, 25 -> 6 cases
     assert hecke.cases == 6
     assert report.checks[2].cases == 10  # primes up to 30
-
-
-def test_default_solve_order_pins_25_coefficients_at_weight_12():
-    assert default_solve_order(12) == 24
 
 
 def test_deep_tau_leaves_the_memo_tables_bounded():

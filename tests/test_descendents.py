@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from descmat.descendents import (
-    EXPANSION_MARGIN,
     _partition_sum,
     as_label,
     bracket_series,
@@ -15,7 +14,12 @@ from descmat.descendents import (
 from descmat.matroid import descendent_labels
 from descmat.partitions import partition_count
 from descmat.qseries import QSeries, eisenstein_series, euler_function
-from descmat.quasimodular import eisenstein_monomials, monomial_series, qm_dimension
+from descmat.quasimodular import (
+    base_order,
+    eisenstein_monomials,
+    monomial_series,
+    qm_dimension,
+)
 
 
 def test_weight_examples():
@@ -134,14 +138,9 @@ def test_oracle_equivalence_spot_checks():
             assert gw_invariant(label, d) == gw_character_oracle(label, d)
 
 
-def base_order(label):
-    """Highest degree the label evaluates by its partition sum."""
-    return qm_dimension(weight(label)) + EXPANSION_MARGIN
-
-
 @pytest.mark.parametrize("label", [(2, 2), (6, 2), (4, 4, 2), (5, 3, 2)])
 def test_lift_matches_partition_sum_through_degree_thirty(label):
-    assert base_order(label) < 30
+    assert base_order(weight(label)) < 30
     for d in range(31):
         assert gw_invariant(label, d) == _partition_sum(label, d), d
 
@@ -149,7 +148,7 @@ def test_lift_matches_partition_sum_through_degree_thirty(label):
 def test_lift_matches_partition_sum_above_every_base_to_weight_twelve():
     for k in range(4, 13, 2):
         for label in descendent_labels(k):
-            base = base_order(label)
+            base = base_order(k)
             for d in range(base + 1, base + 7):
                 assert gw_invariant(label, d) == _partition_sum(label, d), (label, d)
 

@@ -7,6 +7,7 @@ from descmat.qseries import discriminant, eisenstein_series
 from descmat.quasimodular import (
     EisensteinMonomial,
     InsufficientOrderError,
+    base_order,
     eisenstein_monomials,
     expand_in_eisenstein,
     monomial_series,
@@ -67,7 +68,7 @@ def test_basis_element_expands_to_unit_vector():
 
 def test_expand_then_reconstruct_is_identity_on_monomials():
     for k in range(2, 14, 2):
-        order = qm_dimension(k) + 5
+        order = base_order(k)
         for mono in eisenstein_monomials(k):
             coords = expand_in_eisenstein(monomial_series(mono, order), k)
             expected = tuple(
