@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from math import comb
 
 from . import __version__
 from .decomposition import (
@@ -55,10 +54,6 @@ from .qseries import discriminant, fraction_str
 from .quasimodular import base_order, eisenstein_monomials, qm_dimension
 
 CACHE_ENV_VAR = "DESCMAT_CACHE_DIR"
-# `matroid count|bases` refuses to enumerate more candidate subsets than
-# this: each is one exact rank test, and the C(34, 8) = 18 156 204 of
-# full weight 14 would take minutes.
-ENUMERATION_CAP = 10**6
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -236,13 +231,6 @@ def _cmd_matroid(args) -> int:
         _emit(args, [_label_list_str(labels)], [list(lab) for lab in labels])
         return 0
     m = _build_matrix(args, k, args.positive, args.max_weight)
-    if args.action in ("count", "bases"):
-        n, r = len(m), m.rank()
-        if comb(n, r) > ENUMERATION_CAP:
-            raise ValueError(
-                f"enumerating the bases takes C({n}, {r}) = {comb(n, r)} rank tests, "
-                f"above the cap {ENUMERATION_CAP}"
-            )
     if args.action == "matrix":
         rows = m.matrix()
         payload = {

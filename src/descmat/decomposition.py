@@ -52,9 +52,6 @@ class LinearDecomposition:
     def scaled_coefficients(self) -> tuple[int, ...]:
         return tuple(int(c * self.scale) for c in self.coefficients)
 
-    def coefficient_of(self, label) -> Fraction:
-        return self.coefficients[self.basis.index(as_label(label))]
-
 
 def solve_linear(basis, target: QSeries, k: int) -> LinearDecomposition:
     """Express ``target`` over the given weight-k descendent labels.

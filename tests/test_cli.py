@@ -4,6 +4,7 @@ import pytest
 
 from descmat.cli import main
 from descmat.qseries import QSeries
+from test_matroid import forbid_subset_rank_tests
 
 
 def run(capsys, *argv):
@@ -253,6 +254,14 @@ def test_enumeration_above_the_cap_is_refused(capsys):
     for action in ("count", "bases"):
         code, out, err = run(capsys, "matroid", action, "--weight", "14")
         assert code == 1 and out == "" and "C(34, 8)" in err
+
+
+def test_work_above_the_cap_exits_one_before_any_rank_test(capsys, monkeypatch):
+    # positive weight 16 has C(21, 10) = 352 716 candidates at rank 10
+    forbid_subset_rank_tests(monkeypatch)
+    for action in ("count", "bases"):
+        code, out, err = run(capsys, "matroid", action, "--weight", "16", "--positive")
+        assert code == 1 and out == "" and "enumeration capped" in err
 
 
 def test_expand_odd_weight_label_is_zero(capsys):

@@ -161,6 +161,11 @@ def test_tau_pentagonal_small_values():
     assert tau_pentagonal(6, dec) == -6048 == tau_niebur(2) * tau_niebur(3)
 
 
+def test_tau_triangulation_at_degree_200():
+    _, dec = all_positive_decompositions(12)[0]
+    assert tau_pentagonal(200, dec) == tau_direct(200) == tau_niebur(200)
+
+
 def test_tau_pentagonal_rejects_corrupt_coefficients():
     ground = positive_ground_set(12)
     dec = solve_linear(ground[:7], discriminant(24), 12)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import chain, combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,3 +289,64 @@ def test_bases_match_fraction_elimination(columns):
     assert m.rank() == r
     assert list(m.bases()) == full
     assert m.bases_count() == len(full)
+    n = len(columns)
+    assert m.is_uniform() == ((r, n) if len(full) == comb(n, r) else None)
+    # T(x, y) = sum over subsets A of (x-1)^(r - r(A)) (y-1)^(|A| - r(A)); both
+    # sides have degree <= n in x and in y, so the (n+1)^2 grid pins them
+    t = m.tutte()
+    assert all(i <= n and j <= n for i, j in t.coeffs)
+    ranks = [
+        (len(idxs), fraction_gauss_rank([columns[i] for i in idxs]))
+        for idxs in _powerset(range(n))
+    ]
+    for x in range(n + 1):
+        for y in range(n + 1):
+            oracle = sum((x - 1) ** (r - ra) * (y - 1) ** (size - ra) for size, ra in ranks)
+            assert t(x, y) == oracle
+
+
+def forbid_subset_rank_tests(monkeypatch):
+    """Let ``_subset_rank`` compute a whole ground set's rank and nothing else."""
+    real = LinearMatroid._subset_rank
+
+    def whole_ground_set_only(self, idxs):
+        if len(idxs) < len(self):
+            raise RuntimeError(f"subset rank test on {tuple(idxs)} ran")
+        return real(self, idxs)
+
+    monkeypatch.setattr(LinearMatroid, "_subset_rank", whole_ground_set_only)
+
+
+@pytest.mark.parametrize(
+    "k, positive, enumerate_",
+    [
+        (16, True, LinearMatroid.bases_count),  # C(21, 10) * 10^3 = 3.5e8
+        (14, False, lambda m: next(m.bases())),  # C(34, 8) * 8^3 = 9.3e9
+        (12, False, LinearMatroid.tutte),  # 2^21 * 7^3 = 7.2e8
+    ],
+)
+def test_work_above_the_cap_is_refused_before_any_subset_rank_test(
+    monkeypatch, k, positive, enumerate_
+):
+    m = descendent_matrix(k, positive=positive)
+    forbid_subset_rank_tests(monkeypatch)
+    with pytest.raises(ValueError, match="enumeration capped"):
+        enumerate_(m)
+
+
+def test_is_uniform_stops_at_the_first_dependent_subset(monkeypatch):
+    m8 = descendent_matrix(8)
+    m8.rank()
+    tested = []
+    real = LinearMatroid._subset_rank
+
+    def recorded(self, idxs):
+        tested.append(idxs)
+        return real(self, idxs)
+
+    monkeypatch.setattr(LinearMatroid, "_subset_rank", recorded)
+    assert m8.is_uniform() is None
+    # the only dependent 4-subset, {(4, 0), (2, 0, 0), (1, 1, 0), (0, 0, 0, 0)},
+    # is the 30th of the 35 in lexicographic order
+    candidates = list(combinations(range(7), 4))
+    assert tested == candidates[: candidates.index((1, 4, 5, 6)) + 1]
