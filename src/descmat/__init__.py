@@ -17,7 +17,6 @@ from .decomposition import (
     all_positive_decompositions,
     basis_key,
     poly_basis_expand,
-    positive_ground_set,
     solve_linear,
     tau_direct,
     tau_niebur,

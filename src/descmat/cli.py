@@ -6,14 +6,13 @@ invocation, and ``--format json`` switches every command to a
 machine-readable payload.  Exit codes: 0 success, 1 domain error, 2
 usage error.
 
-Set ``--cache-dir`` (or the DESCMAT_CACHE_DIR environment variable) to
-keep the descendent coordinate matrices of ``matroid`` and
-``conjecture-check`` on disk between invocations; entries are keyed by
-weight, ground set (all or positive) and package version, and writes go
-through a temp file plus rename so concurrent invocations never see a
-torn file.  Each entry carries a SHA-256 of its content; an entry that
-fails to parse, hash or match its weight's shape and labels is rebuilt
-and rewritten rather than trusted.
+Set ``--cache-dir`` to keep the descendent coordinate matrices of
+``matroid`` and ``conjecture-check`` on disk between invocations; entries
+are keyed by weight, ground set (all or positive) and package version,
+and writes go through a temp file plus rename so concurrent invocations
+never see a torn file.  Each entry carries a SHA-256 of its content; an
+entry that fails to parse, hash or match its weight's shape and labels
+is rebuilt and rewritten rather than trusted.
 """
 
 import argparse
@@ -53,8 +52,6 @@ from .matroid import (
 from .qseries import discriminant, fraction_str
 from .quasimodular import base_order, eisenstein_monomials, qm_dimension
 
-CACHE_ENV_VAR = "DESCMAT_CACHE_DIR"
-
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
@@ -88,13 +85,9 @@ def _fail(args, exc) -> int:
 # -- cached matrix construction ----------------------------------------------
 
 
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get(CACHE_ENV_VAR)
-
-
 def _build_matrix(args, k: int, positive: bool, max_weight: int) -> LinearMatroid:
     """Descendent matroid for the CLI, with optional on-disk caching."""
-    cache_dir = _cache_dir(args)
+    cache_dir = args.cache_dir
     if cache_dir is None:
         return descendent_matrix(k, positive=positive, max_weight=max_weight)
     check_weight(k, max_weight)
@@ -226,6 +219,7 @@ def _label_list_str(labels) -> str:
 
 def _cmd_matroid(args) -> int:
     k = args.weight
+    check_weight(k, args.max_weight)
     if args.action == "groundset":
         labels = descendent_labels(k, positive=args.positive)
         _emit(args, [_label_list_str(labels)], [list(lab) for lab in labels])
@@ -304,7 +298,7 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_delta_all(args) -> int:
-    rows = all_positive_decompositions(args.weight)
+    rows = all_positive_decompositions()
     payload = [_decomposition_payload(key, dec) for key, dec in rows]
     lines = [
         f"{key} scale={dec.scale} coeffs="
@@ -316,10 +310,7 @@ def _cmd_delta_all(args) -> int:
 
 
 def _cmd_delta_poly(args) -> int:
-    if args.weight != 12:
-        raise ValueError("the discriminant form has weight 12; use --weight 12")
-    leading = [discriminant(qm_dimension(12) - 1)[d] for d in range(qm_dimension(12))]
-    pd = poly_basis_expand(args.type, args.weight, leading)
+    pd = poly_basis_expand(args.type, discriminant(base_order(12)), 12)
     factors = pd.factor_form()
     body = ", ".join(
         f"{tuple(tuple(lab) for lab in labs)}: {fraction_str(coeff)}"
@@ -327,7 +318,7 @@ def _cmd_delta_poly(args) -> int:
     )
     payload = {
         "type": pd.triple_type,
-        "weight": args.weight,
+        "weight": 12,
         "generators": [list(g) for g in pd.generators],
         "terms": [
             {
@@ -429,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     cached.add_argument(
         "--cache-dir",
         default=None,
-        help=f"directory for the coordinate-matrix cache (default ${CACHE_ENV_VAR})",
+        help="directory for the coordinate-matrix cache",
     )
 
     parser = argparse.ArgumentParser(
@@ -482,14 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "delta-all", parents=[common], help="discriminant over every positive basis"
     )
-    p.add_argument("--weight", type=int, default=12)
     p.set_defaults(func=_cmd_delta_all)
 
     p = sub.add_parser(
         "delta-poly", parents=[common], help="discriminant in one generator-triple basis"
     )
     p.add_argument("--type", type=int, required=True, choices=sorted(GENERATOR_TRIPLES))
-    p.add_argument("--weight", type=int, default=12)
     p.set_defaults(func=_cmd_delta_poly)
 
     p = sub.add_parser("tau", parents=[common], help="a tau value by one of three routes")

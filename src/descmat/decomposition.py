@@ -6,8 +6,8 @@ Two flavours of decomposition:
   series, one decomposition per basis of the positive restriction; the
   scale of each is the least positive integer clearing all denominators,
   recomputed here rather than read from anywhere.
-* polynomial — the discriminant (or any weight-k form pinned by its
-  leading coefficients) written in monomials of one of the eight
+* polynomial — the discriminant (or any weight-k form, a q-series
+  target read at base(k)) written in monomials of one of the eight
   generator triples in weights 2, 4, 6.
 
 On top of the linear decompositions sits the pentagonal-pair evaluation
@@ -17,7 +17,6 @@ the direct q-expansion.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 
 from .descendents import (
@@ -29,7 +28,7 @@ from .descendents import (
     weight,
 )
 from .linalg import solve_exact
-from .matroid import descendent_labels
+from .matroid import descendent_matrix
 from .partitions import pentagonal_pairs
 from .qseries import QSeries, discriminant, sigma
 from .quasimodular import (
@@ -83,11 +82,6 @@ def _solve_coordinates(labels, target_coords) -> LinearDecomposition:
     return LinearDecomposition(labels, x, scale)
 
 
-def positive_ground_set(k: int = 12) -> tuple[DescendentLabel, ...]:
-    """Positive weight-k labels in ground-set order (the table indexing)."""
-    return descendent_labels(k, positive=True)
-
-
 def basis_key(indices) -> str:
     """Table key for a basis given 1-based ground-set indices, e.g. (1234567)."""
     return "(" + "".join(str(i) for i in sorted(indices)) + ")"
@@ -96,17 +90,17 @@ def basis_key(indices) -> str:
 def all_positive_decompositions(k: int = 12) -> list[tuple[str, LinearDecomposition]]:
     """One discriminant decomposition per basis of the positive restriction.
 
-    Weight 12 only: there the positive restriction is uniform of rank 7 on
-    9 elements, so the bases are exactly the 36 seven-element subsets,
-    listed in lexicographic order of their index tuples.
+    Weight 12 only.  The bases are the positive matroid's, in lexicographic
+    order of their label indices, and each key lists the 1-based positions
+    of its labels in that matroid's ground set.
     """
     if k != 12:
         raise ValueError("positive-basis discriminant tables exist for weight 12 only")
-    ground = positive_ground_set(k)
+    m = descendent_matrix(k, positive=True)
     target = expand_in_eisenstein(discriminant(base_order(k)), k)
     return [
-        (basis_key(idxs), _solve_coordinates(tuple(ground[i - 1] for i in idxs), target))
-        for idxs in combinations(range(1, len(ground) + 1), qm_dimension(k))
+        (basis_key(m.labels.index(lab) + 1 for lab in basis), _solve_coordinates(basis, target))
+        for basis in m.bases()
     ]
 
 
@@ -160,27 +154,25 @@ class PolynomialDecomposition:
         return total
 
 
-def poly_basis_expand(triple_type: int, k: int, leading_coeffs) -> PolynomialDecomposition:
-    """Expand the weight-k form with the given leading q-coefficients.
+def poly_basis_expand(triple_type: int, target: QSeries, k: int) -> PolynomialDecomposition:
+    """Express the weight-k form ``target`` in the triple's weight-k monomials.
 
-    ``leading_coeffs`` must hold exactly qm_dimension(k) values; they pin
-    down a unique weight-k form, whose expansion over the triple's
-    weight-k monomials is solved exactly.  The monomial system being
-    singular would contradict the triple generating the ring, so it is
-    not handled specially and would surface as SingularSystemError.
+    The target and each monomial w2^a w4^b w6^c of the triple's bracket
+    series at base(k) are read as Eisenstein coordinates, and the square
+    system is solved exactly.  A target below base(k) raises
+    InsufficientOrderError, and one that is no weight-k form raises
+    InconsistentSystemError.  The monomial system being singular would
+    contradict the triple generating the ring, so it is not handled
+    specially and would surface as SingularSystemError.
     """
     if triple_type not in GENERATOR_TRIPLES:
         raise ValueError(f"triple type must be 1..8, got {triple_type}")
     generators = GENERATOR_TRIPLES[triple_type]
-    dim = qm_dimension(k)
-    coeffs = [Fraction(c) for c in leading_coeffs]
-    if len(coeffs) != dim:
-        raise ValueError(f"weight {k} needs exactly {dim} leading coefficients")
+    coords = expand_in_eisenstein(target, k)
     exponents = [(m.a, m.b, m.c) for m in eisenstein_monomials(k)]
-    order = dim - 1
-    w2, w4, w6 = (bracket_series(g, order) for g in generators)
-    columns = [(w2**a * w4**b * w6**c).coeffs for a, b, c in exponents]
-    x = solve_exact(columns, coeffs)
+    w2, w4, w6 = (bracket_series(g, base_order(k)) for g in generators)
+    columns = [expand_in_eisenstein(w2**a * w4**b * w6**c, k) for a, b, c in exponents]
+    x = solve_exact(columns, coords)
     return PolynomialDecomposition(triple_type, generators, tuple(zip(exponents, x)))
 
 

@@ -31,7 +31,7 @@ from descmat.descendents import bracket_series, gw_invariant, to_eisenstein
 from descmat.matroid import descendent_labels, descendent_matrix, named_restriction
 from descmat.partitions import centralizer_order, partition_count, partitions_of
 from descmat.qseries import QSeries, discriminant, eisenstein_series, euler_function
-from descmat.quasimodular import expand_in_eisenstein, qm_dimension
+from descmat.quasimodular import base_order, expand_in_eisenstein, qm_dimension
 
 
 class budget:
@@ -215,15 +215,17 @@ def test_criterion_08_tutte_polynomial():
 
 def test_criterion_09_discriminant_golden_tables():
     with budget(9, 120.0):
+        assert list(discriminant(6).coeffs) == DELTA_LEADING
+        delta = discriminant(base_order(12))
         for triple_type, expected in POLY_ROWS.items():
-            pd = poly_basis_expand(triple_type, 12, DELTA_LEADING)
+            pd = poly_basis_expand(triple_type, delta, 12)
             got = {exps: coeff for exps, coeff in pd.terms}
             assert all(c.denominator == 1 for c in got.values())
             assert {e: int(c) for e, c in got.items()} == expected
         # one documented dropped-zero misprint in the polynomial tables;
         # its corrected value is pinned by reconstruction
         assert set(POLY_MISPRINTS) == {(6, (6, 0, 0))}
-        assert poly_basis_expand(6, 12, DELTA_LEADING).reconstruct(19) == discriminant(19)
+        assert poly_basis_expand(6, delta, 12).reconstruct(19) == discriminant(19)
 
         rows = dict(all_positive_decompositions(12))
         assert len(rows) == 36 and set(rows) == set(LINEAR_ROWS)

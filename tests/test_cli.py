@@ -200,14 +200,6 @@ def test_cache_round_trip(tmp_path, capsys):
     assert code == 0 and out == "4\n"
 
 
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("DESCMAT_CACHE_DIR", str(cache))
-    code, out, _ = run(capsys, "matroid", "count", "--weight", "6")
-    assert code == 0 and out == "4\n"
-    assert list(cache.glob("*.json"))
-
-
 def test_cache_entry_with_an_altered_coefficient_is_rebuilt(tmp_path, capsys):
     args = ("matroid", "matrix", "--weight", "8")
     _, uncached, _ = run(capsys, *args)
@@ -241,6 +233,13 @@ def test_truncated_cache_entry_is_rebuilt_and_rewritten(tmp_path, capsys):
 def test_matroid_max_weight_zero_is_a_cap_of_zero(capsys):
     code, out, err = run(capsys, "matroid", "rank", "--weight", "8", "--max-weight", "0")
     assert code == 1 and out == "" and "above the configured cap 0" in err
+
+
+def test_matroid_groundset_checks_the_weight_cap(capsys):
+    code, out, err = run(capsys, "matroid", "groundset", "--weight", "20")
+    assert code == 1 and out == "" and "above the configured cap 18" in err
+    code, out, _ = run(capsys, "matroid", "groundset", "--weight", "20", "--max-weight", "20")
+    assert code == 0 and out.startswith("[[18], ")
 
 
 def test_conjecture_check_refuses_a_max_weight_below_four(capsys):
@@ -283,12 +282,16 @@ SUBCOMMANDS = {
     "tau-check": ["--max-d", "12"],
     "conjecture-check": ["--max-weight", "4"],
 }
-FLAG_OWNERS = {"--order": {"expand"}, "--cache-dir": {"matroid", "conjecture-check"}}
+FLAG_OWNERS = {
+    "--order": {"expand"},
+    "--cache-dir": {"matroid", "conjecture-check"},
+    "--weight": {"matroid", "delta"},
+}
 
 
 def test_order_and_cache_dir_belong_to_their_commands(tmp_path, capsys):
     for flag, owners in FLAG_OWNERS.items():
-        value = "3" if flag == "--order" else str(tmp_path / "cache")
+        value = {"--order": "3", "--weight": "12"}.get(flag, str(tmp_path / "cache"))
         for command, args in SUBCOMMANDS.items():
             argv = [command, *args, flag, value]
             if command in owners:

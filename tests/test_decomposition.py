@@ -3,13 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from golden_delta_tables import DELTA_LEADING, POLY_ROWS
+from golden_delta_tables import POLY_ROWS
 from descmat.decomposition import (
     GENERATOR_TRIPLES,
     all_positive_decompositions,
     basis_key,
     poly_basis_expand,
-    positive_ground_set,
     solve_linear,
     tau_direct,
     tau_niebur,
@@ -18,15 +17,15 @@ from descmat.decomposition import (
 )
 from descmat.descendents import bracket_series
 from descmat.linalg import InconsistentSystemError, SingularSystemError
-from descmat.matroid import descendent_matrix
+from descmat.matroid import descendent_labels, descendent_matrix
 from descmat.partitions import _bounded_partitions
-from descmat.qseries import QSeries, discriminant
-from descmat.quasimodular import InsufficientOrderError
+from descmat.qseries import QSeries, discriminant, eisenstein_series
+from descmat.quasimodular import InsufficientOrderError, base_order
 from descmat.shifted import shifted_power_sum
 
 
 def test_first_basis_row():
-    ground = positive_ground_set(12)
+    ground = descendent_labels(12, positive=True)
     dec = solve_linear(ground[:7], discriminant(24), 12)
     assert dec.coefficients[0] == Fraction(-23011579448, 8209)
     assert dec.scale == 8209
@@ -42,7 +41,7 @@ def test_first_basis_row():
 
 
 def test_scale_is_least_common_denominator():
-    ground = positive_ground_set(12)
+    ground = descendent_labels(12, positive=True)
     dec = solve_linear(ground[:7], discriminant(24), 12)
     for coeff in dec.coefficients:
         assert (coeff * dec.scale).denominator == 1
@@ -61,7 +60,7 @@ def test_dependent_basis_is_rejected():
 
 
 def test_solve_linear_input_validation():
-    ground = positive_ground_set(12)
+    ground = descendent_labels(12, positive=True)
     with pytest.raises(ValueError):
         solve_linear(ground[:6], discriminant(24), 12)
     with pytest.raises(ValueError):
@@ -74,7 +73,7 @@ def test_solve_linear_input_validation():
 
 
 def test_positive_ground_set_and_keys():
-    ground = positive_ground_set(12)
+    ground = descendent_labels(12, positive=True)
     assert len(ground) == 9
     assert basis_key((2, 4, 5, 6, 7, 8, 9)) == "(2456789)"
 
@@ -110,7 +109,7 @@ def test_decompositions_share_tau_values():
 
 
 def test_poly_expand_weight_four_example():
-    pd = poly_basis_expand(1, 4, [Fraction(1, 240), 1])
+    pd = poly_basis_expand(1, eisenstein_series(4, base_order(4)), 4)
     assert pd.terms_dict() == {
         (0, 1, 0): Fraction(6, 5),
         (2, 0, 0): Fraction(6, 5),
@@ -123,21 +122,37 @@ def test_poly_expand_weight_four_example():
 
 @pytest.mark.parametrize("triple_type", sorted(GENERATOR_TRIPLES))
 def test_poly_expand_reconstructs_the_discriminant(triple_type):
-    pd = poly_basis_expand(triple_type, 12, DELTA_LEADING)
+    pd = poly_basis_expand(triple_type, discriminant(base_order(12)), 12)
     assert pd.reconstruct(19) == discriminant(19)
     assert all(c.denominator == 1 for _, c in pd.terms)
 
 
 def test_poly_expand_golden_row_one():
-    pd = poly_basis_expand(1, 12, DELTA_LEADING)
+    pd = poly_basis_expand(1, discriminant(base_order(12)), 12)
     assert {e: int(c) for e, c in pd.terms} == POLY_ROWS[1]
 
 
 def test_poly_expand_validation():
     with pytest.raises(ValueError):
-        poly_basis_expand(9, 12, DELTA_LEADING)
+        poly_basis_expand(9, discriminant(base_order(12)), 12)
     with pytest.raises(ValueError):
-        poly_basis_expand(1, 12, [1, 2, 3])
+        poly_basis_expand(1, discriminant(6), 12)
+
+
+@pytest.mark.parametrize("triple_type", sorted(GENERATOR_TRIPLES))
+def test_poly_expand_solves_any_weight_twelve_target(triple_type):
+    for label in ((10,), (4, 1, 1)):
+        target = bracket_series(label, base_order(12))
+        pd = poly_basis_expand(triple_type, target, 12)
+        assert pd.reconstruct(24) == bracket_series(label, 24), label
+
+
+def test_poly_expand_target_contract():
+    # a weight-10 form is no weight-12 target
+    with pytest.raises(InconsistentSystemError):
+        poly_basis_expand(1, bracket_series((8,), 24), 12)
+    with pytest.raises(InsufficientOrderError):
+        poly_basis_expand(1, discriminant(6), 12)
 
 
 def test_tau_niebur_values():
@@ -154,7 +169,7 @@ def test_tau_direct_matches_niebur():
 
 
 def test_tau_pentagonal_small_values():
-    ground = positive_ground_set(12)
+    ground = descendent_labels(12, positive=True)
     dec = solve_linear(ground[:7], discriminant(24), 12)
     assert tau_pentagonal(1, dec) == 1
     assert tau_pentagonal(2, dec) == -24
@@ -167,7 +182,7 @@ def test_tau_triangulation_at_degree_200():
 
 
 def test_tau_pentagonal_rejects_corrupt_coefficients():
-    ground = positive_ground_set(12)
+    ground = descendent_labels(12, positive=True)
     dec = solve_linear(ground[:7], discriminant(24), 12)
     broken = dec.__class__(dec.basis, dec.coefficients[:-1] + (Fraction(1, 7),), 7)
     with pytest.raises(ArithmeticError):
