@@ -53,6 +53,16 @@ from .qseries import discriminant, fraction_str
 from .quasimodular import base_order, eisenstein_monomials, qm_dimension
 
 
+# `tau --d` and `evaluate --degree` cost grows quadratically with the
+# degree; at 500 the slowest route takes about 3 s on a 2-vCPU VM
+_MAX_DEGREE = 500
+
+
+def _check_degree(d: int, flag: str) -> None:
+    if d > _MAX_DEGREE:
+        raise ValueError(f"{flag} {d} above the degree cap {_MAX_DEGREE}")
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -166,6 +176,7 @@ def _load_entry(path: str, header: dict) -> LinearMatroid | None:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_degree(args.degree, "--degree")
     label = as_label(_parse_int_list(args.insertions))
     value = gw_invariant(label, args.degree)
     _emit(
@@ -334,6 +345,7 @@ def _cmd_delta_poly(args) -> int:
 
 
 def _cmd_tau(args) -> int:
+    _check_degree(args.d, "--d")
     if args.method == "niebur":
         value = tau_niebur(args.d)
     elif args.method == "direct":

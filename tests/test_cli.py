@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from descmat import cli
 from descmat.cli import main
 from descmat.qseries import QSeries
 from test_matroid import forbid_subset_rank_tests
@@ -261,6 +262,30 @@ def test_work_above_the_cap_exits_one_before_any_rank_test(capsys, monkeypatch):
     for action in ("count", "bases"):
         code, out, err = run(capsys, "matroid", action, "--weight", "16", "--positive")
         assert code == 1 and out == "" and "enumeration capped" in err
+
+
+def test_degree_above_the_cap_exits_one_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise RuntimeError("work started")
+
+    for name in ("gw_invariant", "tau_pentagonal", "tau_niebur", "tau_direct", "_solve_delta"):
+        monkeypatch.setattr(cli, name, no_work)
+    too_high = str(cli._MAX_DEGREE + 1)
+    for argv in (
+        ["evaluate", "--insertions", "2,2", "--degree", too_high],
+        ["tau", "--d", too_high],
+        ["tau", "--d", "1000000", "--basis", "2,3,4,5,6,7,8"],
+        ["tau", "--d", too_high, "--method", "niebur"],
+        ["tau", "--d", too_high, "--method", "direct", "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "above the degree cap" in err
+
+
+def test_degrees_in_use_stay_below_the_cap(capsys):
+    # the README and the benchmark's sessions ask for tau up to d = 200
+    code, out, _ = run(capsys, "tau", "--d", "200", "--method", "niebur")
+    assert code == 0 and out == "-2154174528000\n"  # tau(8) * tau(25)
 
 
 def test_expand_odd_weight_label_is_zero(capsys):

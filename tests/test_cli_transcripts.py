@@ -57,14 +57,20 @@ TRANSCRIPTS = [
      "ea243e5457028e97f9bc93b37a72f8e80ea61ae081911bb037765590ee6aa435"),
     ("matroid count --weight 12 --positive", 0,
      "a4b2c5db15348c29451e18b8307e5ef81625ea638e807935f39ceaa8d9ac7758"),
+    ("matroid count --weight 12", 0,
+     "53066fa338c7e38b5d54ca1442ed8b49c4f98798c295a3e858b26a66a6fca276"),
     ("matroid count --weight 14", 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("matroid bases --weight 6", 0,
      "8e0ff22c892e46011a9ba80c99e80871db63d72c091286a6ad484c6992404a74"),
     ("matroid bases --weight 8 --format json", 0,
      "61f75a23214e2320b066bb04bdb59ad1069825cb8cc51de323e3509221c67962"),
+    ("matroid bases --weight 10 --format json", 0,
+     "8d4fbb20dc8ddca09992ee735997a72928ad86dd291679a599bbf3861c7009f4"),
     ("matroid tutte --weight 8", 0,
      "e9d49faf4f146516203e386a452b81b697d8e09bfd35c1d7d50d443bdc674d3e"),
+    ("matroid tutte --weight 10", 0,
+     "7ae1ac32b0a519bafaf40b9afecac0348997bba454e4e21ed317658fc19bf166"),
     ("matroid tutte --weight 10 --positive --format json", 0,
      "ad0aa24a081c175d4c0b6ee186f9e8bc262b5cf59a698367153f2252266aa2c2"),
     ("delta --weight 12 --basis 1,2,3,4,5,6,7 --positive", 0,

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_linalg import fraction_gauss_rank
 
+from descmat import matroid
+from descmat.linalg import int_row_rank
 from descmat.matroid import (
     LinearMatroid,
     TuttePolynomial,
@@ -306,7 +309,10 @@ def test_bases_match_fraction_elimination(columns):
 
 
 def forbid_subset_rank_tests(monkeypatch):
-    """Let ``_subset_rank`` compute a whole ground set's rank and nothing else."""
+    """Let ``_subset_rank`` compute a whole ground set's rank and nothing else.
+
+    The subset enumeration kernel may not even start.
+    """
     real = LinearMatroid._subset_rank
 
     def whole_ground_set_only(self, idxs):
@@ -314,7 +320,11 @@ def forbid_subset_rank_tests(monkeypatch):
             raise RuntimeError(f"subset rank test on {tuple(idxs)} ran")
         return real(self, idxs)
 
+    def no_enumeration(*args):
+        raise RuntimeError("the subset enumeration started")
+
     monkeypatch.setattr(LinearMatroid, "_subset_rank", whole_ground_set_only)
+    monkeypatch.setattr(matroid, "_subset_ranks", no_enumeration)
 
 
 @pytest.mark.parametrize(
@@ -338,15 +348,89 @@ def test_is_uniform_stops_at_the_first_dependent_subset(monkeypatch):
     m8 = descendent_matrix(8)
     m8.rank()
     tested = []
-    real = LinearMatroid._subset_rank
+    real = matroid._subset_ranks
 
-    def recorded(self, idxs):
-        tested.append(idxs)
-        return real(self, idxs)
+    def recorded(*args):
+        for idxs, rank in real(*args):
+            tested.append(idxs)
+            yield idxs, rank
 
-    monkeypatch.setattr(LinearMatroid, "_subset_rank", recorded)
+    monkeypatch.setattr(matroid, "_subset_ranks", recorded)
     assert m8.is_uniform() is None
     # the only dependent 4-subset, {(4, 0), (2, 0, 0), (1, 1, 0), (0, 0, 0, 0)},
     # is the 30th of the 35 in lexicographic order
     candidates = list(combinations(range(7), 4))
     assert tested == candidates[: candidates.index((1, 4, 5, 6)) + 1]
+
+
+def _seeded_restriction(seed):
+    m12 = descendent_matrix(12)
+    return m12.restrict(random.Random(seed).sample(m12.labels, 12))
+
+
+RANK_STREAM_MATROIDS = {
+    "full-8": lambda: descendent_matrix(8),
+    "full-10": lambda: descendent_matrix(10),
+    "named-14": lambda: named_restriction(14),
+    "w12-seed-1": lambda: _seeded_restriction(1),
+    "w12-seed-2": lambda: _seeded_restriction(2),
+    "empty": lambda: LinearMatroid([], [], nrows=3),
+    "zero-height": lambda: LinearMatroid([(), (), ()], "abc"),
+    "zero-column": lambda: LinearMatroid(
+        [(1, 2, 3), (0, 0, 0), (2, -1, 5), (1, 1, 1)], "abcd"
+    ),
+    "parallel": lambda: LinearMatroid(
+        [(1, 2, 0), (2, 4, 0), (0, 1, 1), ("-1/2", -1, 0), (3, 6, 0)], "abcde"
+    ),
+    "nrows-above-rank": lambda: LinearMatroid(
+        [(1, 0, 2, 0, 1), (0, 1, 1, 0, 0), (1, 1, 3, 0, 1), (2, -1, 3, 0, 2)], "abcd"
+    ),
+    "rank-1": lambda: LinearMatroid([(2, 4, 6), (1, 2, 3), (-1, -2, -3), (0, 0, 0)], "abcd"),
+}
+
+
+@pytest.mark.parametrize("name", RANK_STREAM_MATROIDS)
+def test_rank_stream_matches_subset_rank(name):
+    m = RANK_STREAM_MATROIDS[name]()
+    n = len(m)
+
+    def oracle(size):
+        return [
+            (idxs, int_row_rank([m._int_columns[i] for i in idxs]))
+            for idxs in combinations(range(n), size)
+        ]
+
+    everything = list(m._ranks(range(n + 1)))
+    assert len(everything) == 2**n
+    for size in range(n + 1):
+        expected = oracle(size)
+        # each size alone, and within the stream of every size
+        assert list(m._ranks((size,))) == expected
+        assert [pair for pair in everything if len(pair[0]) == size] == expected
+    assert list(m._ranks((1, n))) == [
+        pair for pair in everything if len(pair[0]) in (1, n)
+    ]
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda h: st.lists(
+            st.lists(st.integers(-3, 3).map(lambda x: 6 * x), min_size=h, max_size=h)
+            | st.lists(st.integers(-40, 40), min_size=h, max_size=h),
+            min_size=1,
+            max_size=7,
+        )
+    )
+)
+def test_annihilator_step_keeps_a_primitive_basis(columns):
+    nrows = len(columns[0])
+    basis = tuple(tuple(int(i == j) for j in range(nrows)) for i in range(nrows))
+    for step in range(1, len(columns) + 1):
+        grew, basis = matroid._extend(basis, columns[step - 1])
+        rank = int_row_rank(columns[:step])
+        assert grew == rank - int_row_rank(columns[: step - 1])
+        assert len(basis) == nrows - rank
+        for a in basis:
+            assert gcd(*a) == 1
+            assert all(sum(x * y for x, y in zip(a, col)) == 0 for col in columns[:step])
