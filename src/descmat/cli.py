@@ -53,8 +53,9 @@ from .qseries import discriminant, fraction_str
 from .quasimodular import base_order, eisenstein_monomials, qm_dimension
 
 
-# `tau --d` and `evaluate --degree` cost grows quadratically with the
-# degree; at 500 the slowest route takes about 3 s on a 2-vCPU VM
+# `tau --d`, `evaluate --degree`, `expand --order` and `tau-check --max-d`
+# cost grows at least quadratically with the degree; at 500 the slowest
+# route takes about 3 s on a 2-vCPU VM
 _MAX_DEGREE = 500
 
 
@@ -188,8 +189,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    label = as_label(_parse_int_list(args.insertions))
     order = args.order
+    if order is not None:
+        _check_degree(order, "--order")
+    label = as_label(_parse_int_list(args.insertions))
     if order is None:
         # An odd-weight series is identically 0; it takes the order of
         # the even weight below.
@@ -358,6 +361,7 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_tau_check(args) -> int:
+    _check_degree(args.max_d, "--max-d")
     report = tau_relation_report(args.max_d)
     lines = []
     for check in report.checks:

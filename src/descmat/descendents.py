@@ -10,10 +10,15 @@ base(k) = :func:`~descmat.quasimodular.base_order`, the order at which
 
       sum over partitions lam of d of prod_i p_{k_i+1}(lam) / prod_i (k_i+1)!
 
-  (the character double sum collapses by row orthogonality; the
-  character route survives in :mod:`descmat.characters` as its oracle).
-  These terms feed the coordinates below, and the sum is the oracle of
-  the lift.
+  (the character double sum collapses by row orthogonality).  It is
+  evaluated in integers: with N_j = lcm(2^j, denominator of c_j), the
+  integers N_j * p_j(lam) are tabulated once per (j, d) over all
+  partitions of d and shared by every label, so a label's sum is a sum
+  of integer products with one Fraction division per (label, d).
+  :func:`_partition_sum`, the same sum in Fractions, is the oracle of
+  that kernel and of the lift below, and the character route in
+  :mod:`descmat.characters` is the oracle of :func:`_partition_sum`.
+  These terms feed the coordinates below.
 * d > base(k): the quasimodular lift.  By the Bloch-Okounkov theorem the
   bracket series (q)_inf * sum_d <tau_label>_d q^d of an even-weight
   label is the weight-k quasimodular form sum_i c_i M_i over the
@@ -33,7 +38,7 @@ own negative.  The empty label degenerates to the partition numbers p(d).
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .partitions import partition_count, partitions_of
 from .qseries import QSeries, euler_function, inverse_euler
@@ -44,7 +49,7 @@ from .quasimodular import (
     expand_in_eisenstein,
     monomial_series,
 )
-from .shifted import shifted_power_sum
+from .shifted import pk_constant, shifted_power_sum
 
 DescendentLabel = tuple[int, ...]
 
@@ -78,15 +83,48 @@ def _gw_invariant(label: DescendentLabel, d: int) -> Fraction:
         return Fraction(partition_count(d))
     base = base_order(k)
     if d <= base:
-        return _partition_sum(label, d)
+        return _integer_partition_sum(label, d)
     order = base
     while order < d:
         order *= 2
     return _lifted_series(label, order)[d]
 
 
+def _integer_partition_sum(label: DescendentLabel, d: int) -> Fraction:
+    """The partition sum over integers, one Fraction division per (label, d)."""
+    rows = [_scaled_power_sums(k + 1, d) for k in label]
+    total = sum(map(prod, zip(*rows))) if rows else partition_count(d)
+    return Fraction(total, prod(_power_sum_scale(k + 1) * factorial(k + 1) for k in label))
+
+
+@cache
+def _power_sum_scale(j: int) -> int:
+    """N_j = lcm(2^j, denominator of c_j), which makes N_j * p_j integral."""
+    return lcm(2**j, pk_constant(j).denominator)
+
+
+@cache
+def _scaled_power_sums(j: int, d: int) -> tuple[int, ...]:
+    """N_j * p_j(lam) for every partition lam of d, in the frozen order."""
+    scale = _power_sum_scale(j)
+    num_scale = scale >> j
+    const = int(pk_constant(j) * scale)
+    # (2 lam_i - 2i + 1)^j is powers[lam_i - i + d], and (1 - 2i)^j is powers[d - i]
+    powers = [a**j for a in range(1 - 2 * d, 2 * d, 2)]
+    out = []
+    for lam in partitions_of(d):
+        num = 0
+        for i, part in enumerate(lam, start=1):
+            num += powers[part - i + d] - powers[d - i]
+        out.append(num * num_scale + const)
+    return tuple(out)
+
+
 def _partition_sum(label: DescendentLabel, d: int) -> Fraction:
-    """The invariant as a sum over all p(d) partitions: the lift's oracle."""
+    """The invariant as a Fraction sum over all p(d) partitions.
+
+    The oracle of the integer kernel and of the lift.
+    """
     total = Fraction(0)
     for lam in partitions_of(d):
         term = Fraction(1)

@@ -1,15 +1,18 @@
 """Exact linear algebra over the rationals.
 
-One fraction-free (Bareiss) elimination kernel serves two entry points:
-:func:`int_row_rank` returns the rank it finds, and :func:`solve_exact`
-runs it on the target-augmented rows and back-substitutes.  Rational
-rows are made integer by clearing denominators row by row: no floating
-point, no pivot tolerance, and the two-term update keeps intermediate
-entries at minor-determinant size.
+One fraction-free (Bareiss) elimination kernel serves three entry
+points: :func:`int_row_rank` returns the rank it finds,
+:func:`solve_exact` runs it on the target-augmented rows and
+back-substitutes, and :func:`factor_columns` runs it once on
+identity-augmented columns to solve many targets against them, with
+:func:`solve_exact` as its oracle.  Rational rows are made integer by
+clearing denominators: no floating point, no pivot tolerance, and the
+two-term update keeps intermediate entries at minor-determinant size.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 class SingularSystemError(ValueError):
@@ -116,3 +119,63 @@ def solve_exact(columns, target) -> list[Fraction]:
             s -= m[r][j] * x[j]
         x[r] = s / m[r][r]
     return x
+
+
+def factor_columns(columns):
+    """Eliminate fixed rational columns once; return their exact solver.
+
+    The returned ``solve(target)`` gives the tuple :func:`solve_exact`
+    would give for these columns, and raises the same errors, at the cost
+    of integer dot products.  Each column's denominators are cleared and
+    the integer block is eliminated with the identity appended, which
+    records the row operations as an integer matrix L.  The rows of L
+    past the pivots annihilate every column, so a target lies in the span
+    exactly when each of them annihilates it too.  The pivot rows,
+    back-substituted once, become an integer solution operator over one
+    common denominator.
+    """
+    ncols = len(columns)
+    nrows = len(columns[0]) if columns else 0
+    if any(len(col) != nrows for col in columns):
+        raise ValueError("columns must have equal length")
+    if nrows < ncols:
+        raise SingularSystemError(f"{nrows} rows cannot pin down {ncols} unknowns")
+    dens = [lcm(*(Fraction(x).denominator for x in col)) for col in columns]
+    m = [
+        [int(Fraction(col[i]) * den) for col, den in zip(columns, dens)]
+        + [int(i == r) for r in range(nrows)]
+        for i in range(nrows)
+    ]
+    rank = _eliminate(m, ncols)
+    if rank < ncols:
+        raise SingularSystemError(f"column rank {rank} < {ncols}: system is singular")
+    checks = [row[ncols:] for row in m[ncols:]]
+    # y = U^-1 L_top t solves the scaled columns; column j's unknown is dens[j] * y_j
+    ops: list[list[Fraction]] = [[]] * ncols
+    for r in reversed(range(ncols)):
+        row = [Fraction(v) for v in m[r][ncols:]]
+        for j in range(r + 1, ncols):
+            u = m[r][j]
+            if u:
+                row = [a - u * b for a, b in zip(row, ops[j])]
+        ops[r] = [a / m[r][r] for a in row]
+    den = lcm(*(f.denominator for row in ops for f in row))
+    solution = [
+        [f.numerator * (den // f.denominator) * scale for f in row]
+        for row, scale in zip(ops, dens)
+    ]
+
+    def solve(target) -> tuple[Fraction, ...]:
+        if len(target) != nrows:
+            raise ValueError("columns and target must have equal length")
+        t = [Fraction(x) for x in target]
+        t_den = lcm(*(f.denominator for f in t))
+        ints = [f.numerator * (t_den // f.denominator) for f in t]
+        for i, row in enumerate(checks, start=ncols):
+            if sum(map(mul, row, ints)):
+                raise InconsistentSystemError(
+                    f"row {i} is inconsistent: target is not in the column span"
+                )
+        return tuple(Fraction(sum(map(mul, row, ints)), den * t_den) for row in solution)
+
+    return solve

@@ -9,7 +9,7 @@ rows by it.
 from functools import cache
 from typing import NamedTuple
 
-from .linalg import InconsistentSystemError, SingularSystemError, solve_exact
+from .linalg import InconsistentSystemError, SingularSystemError, factor_columns
 from .qseries import QSeries, eisenstein_series
 
 EXPANSION_MARGIN = 5
@@ -82,15 +82,22 @@ def expand_in_eisenstein(series: QSeries, k: int):
     beyond the pivot set are checked against the solution, which turns
     "not actually a weight-k form" from a silent wrong answer into
     :class:`~descmat.linalg.InconsistentSystemError`.  Returns the full
-    coefficient vector in monomial order.
+    coefficient vector in monomial order.  The monomial block is factored
+    once per (k, order) and shared by every series of that order;
+    :func:`~descmat.linalg.solve_exact` on the same columns is its oracle.
     """
     base = base_order(k)
     if series.order < base:
         raise InsufficientOrderError(
             f"weight-{k} expansion needs order >= {base}, got {series.order}"
         )
-    columns = [monomial_series(m, series.order).coeffs for m in eisenstein_monomials(k)]
-    return tuple(solve_exact(columns, series.coeffs))
+    return _monomial_solver(k, series.order)(series.coeffs)
+
+
+@cache
+def _monomial_solver(k: int, order: int):
+    """The factored weight-k monomial columns, truncated at ``order``."""
+    return factor_columns([monomial_series(m, order).coeffs for m in eisenstein_monomials(k)])
 
 
 __all__ = [

@@ -268,11 +268,22 @@ def test_degree_above_the_cap_exits_one_before_any_work(capsys, monkeypatch):
     def no_work(*args):
         raise RuntimeError("work started")
 
-    for name in ("gw_invariant", "tau_pentagonal", "tau_niebur", "tau_direct", "_solve_delta"):
+    for name in (
+        "gw_invariant",
+        "bracket_series",
+        "tau_pentagonal",
+        "tau_niebur",
+        "tau_direct",
+        "tau_relation_report",
+        "_solve_delta",
+    ):
         monkeypatch.setattr(cli, name, no_work)
     too_high = str(cli._MAX_DEGREE + 1)
     for argv in (
         ["evaluate", "--insertions", "2,2", "--degree", too_high],
+        ["expand", "--insertions", "2,2", "--order", too_high],
+        ["expand", "--insertions", "4,3,1", "--order", "20000", "--format", "json"],
+        ["tau-check", "--max-d", too_high],
         ["tau", "--d", too_high],
         ["tau", "--d", "1000000", "--basis", "2,3,4,5,6,7,8"],
         ["tau", "--d", too_high, "--method", "niebur"],

@@ -29,6 +29,8 @@ TRANSCRIPTS = [
      "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
     ("expand --insertions 4,3,1 --format json", 0,
      "64ffbc0b84adbad6027112647e165bbbd67ce33b630a326ee130a41feca34501"),
+    ("expand --insertions 2,2 --order 501", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("eisenstein --insertions 2,2", 0,
      "7082c7ed65875daef03f60b1de37d56a144aa1cad87774ae61413f24634b8d43"),
     ("eisenstein --insertions 4,3,1 --format json", 0,
@@ -121,6 +123,8 @@ TRANSCRIPTS = [
      "09108308e122ee600eff173bc8139c77b6d7490ed5dda478a8c0779dffd08f29"),
     ("tau-check --max-d 12 --format json", 0,
      "3d5131901a9c219651f0c202b5628db132ec093a2bd0156a41d465932094aa2f"),
+    ("tau-check --max-d 501", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("conjecture-check --max-weight 14", 0,
      "d50f1c607e53f994f34170120ca42fea1cfab9064b50129047e5f5c11daa35b6"),
 ]

@@ -1,12 +1,15 @@
 """The shared caches must survive racing first-time initialization."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 
 from descmat.partitions import partition_count
 from descmat.shifted import bernoulli, shifted_power_sum
-from descmat.descendents import gw_invariant
+from descmat.descendents import _scaled_power_sums, eisenstein_coordinates, gw_invariant
+from descmat.matroid import descendent_labels
+from test_descendents import clear_build_memos
 
 
 def reference_partition_counts(limit):
@@ -48,3 +51,24 @@ def test_memoized_evaluators_are_race_safe():
     assert results == serial
     # spot value: (3/2)^2 - (1/2)^2 + (1/2)^2 - (3/2)^2 + c_2 = 0
     assert shifted_power_sum(2, (2, 1)) == Fraction(0)
+
+
+def test_kernel_tables_survive_racing_first_builds():
+    # eight threads race each per-degree power-sum row, then the labels of
+    # weight 14 race the rows they share and the factored weight-14 solve
+    keys = [(j, d) for j in range(1, 14) for d in range(16) for _ in range(8)]
+    labels = descendent_labels(14)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clear_build_memos()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            rows = list(pool.map(lambda key: _scaled_power_sums(*key), keys, timeout=60))
+        clear_build_memos()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            coords = list(pool.map(eisenstein_coordinates, labels, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    clear_build_memos()
+    assert rows == [_scaled_power_sums(*key) for key in keys]
+    assert coords == [eisenstein_coordinates(label) for label in labels]

@@ -1,8 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+from descmat import descendents, quasimodular
 from descmat.descendents import (
+    _integer_partition_sum,
     _partition_sum,
     as_label,
     bracket_series,
@@ -11,8 +14,8 @@ from descmat.descendents import (
     to_eisenstein,
     weight,
 )
-from descmat.matroid import descendent_labels
-from descmat.partitions import partition_count
+from descmat.matroid import descendent_labels, descendent_matrix
+from descmat.partitions import partition_count, partitions_of
 from descmat.qseries import QSeries, eisenstein_series, euler_function
 from descmat.quasimodular import (
     base_order,
@@ -166,3 +169,42 @@ def test_odd_weight_invariants_vanish(label):
     assert weight(label) % 2
     for d in range(21):
         assert gw_invariant(label, d) == 0 == _partition_sum(label, d), d
+
+
+def clear_build_memos():
+    """Empty every memo the descendent and quasimodular modules hold or import."""
+    for module in (descendents, quasimodular):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def labels_of_weight(k):
+    """Every label of weight k, odd weights and the empty label included."""
+    return [tuple(part - 2 for part in lam) for lam in partitions_of(k) if not lam or lam[-1] >= 2]
+
+
+def test_integer_kernel_matches_the_fraction_partition_sum():
+    # A kernel that drops the constant c_j, or leaves one N_j out of the
+    # final division, fails this on its first nonempty label, (0,).
+    for k in range(17):
+        for label in labels_of_weight(k):
+            for d in range(base_order(k - k % 2) + 1):
+                assert _integer_partition_sum(label, d) == _partition_sum(label, d), (label, d)
+
+
+def test_cold_matrix_build_takes_the_integer_routes(monkeypatch):
+    def forbidden(name):
+        def fail(*args, **kwargs):
+            raise RuntimeError(f"{name} ran")
+
+        return fail
+
+    clear_build_memos()
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "descmat":
+            continue
+        for name in ("_partition_sum", "shifted_power_sum", "solve_exact"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden(name))
+    assert descendent_matrix(16).rank() == qm_dimension(16)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from descmat.linalg import (
     InconsistentSystemError,
     SingularSystemError,
+    factor_columns,
     int_row_rank,
     scale_row_to_int,
     solve_exact,
@@ -159,3 +160,39 @@ def test_solve_exact_verdicts_match_fraction_elimination(cols_and_target):
     else:
         x = solve_exact(cols, target)
         assert [sum(xj * c for xj, c in zip(x, row)) for row in rows] == target
+
+
+def solve_outcome(solve, *args):
+    """The solution as a tuple, or the type of the solver's domain error."""
+    try:
+        return tuple(solve(*args))
+    except (SingularSystemError, InconsistentSystemError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.integers(min_value=1, max_value=6).flatmap(
+            lambda h: st.tuples(
+                st.lists(
+                    st.lists(
+                        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                        min_size=h,
+                        max_size=h,
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+                st.lists(st.integers(min_value=-3, max_value=3), min_size=h, max_size=h),
+            )
+        )
+    )
+)
+def test_factored_solve_matches_solve_exact(cols_x_target):
+    cols, x, target = cols_x_target
+    in_span = [sum((xj * col[i] for xj, col in zip(x, cols)), Fraction(0)) for i in range(len(target))]
+    for t in (target, in_span):
+        factored = solve_outcome(lambda t: factor_columns(cols)(t), t)
+        assert factored == solve_outcome(solve_exact, cols, t)

@@ -2,8 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from descmat.linalg import InconsistentSystemError, SingularSystemError, int_row_rank, scale_row_to_int
-from descmat.qseries import discriminant, eisenstein_series
+from descmat.descendents import bracket_series
+from descmat.linalg import (
+    InconsistentSystemError,
+    SingularSystemError,
+    int_row_rank,
+    scale_row_to_int,
+    solve_exact,
+)
+from descmat.matroid import descendent_labels
+from descmat.qseries import QSeries, discriminant, eisenstein_series
 from descmat.quasimodular import (
     EisensteinMonomial,
     InsufficientOrderError,
@@ -102,7 +110,37 @@ def test_series_of_wrong_weight_is_inconsistent():
 def test_dependent_columns_surface_as_singular():
     # duplicate column via a synthetic two-column solve at weight 4
     e4 = eisenstein_series(4, 9)
-    from descmat.linalg import solve_exact
-
     with pytest.raises(SingularSystemError):
         solve_exact([e4.coeffs, e4.coeffs], discriminant(9).coeffs)
+
+
+def monomial_columns(k, order):
+    return [monomial_series(m, order).coeffs for m in eisenstein_monomials(k)]
+
+
+def test_factored_solve_matches_solve_exact_on_every_label_to_weight_eighteen():
+    for k in range(4, 19, 2):
+        order = base_order(k)
+        columns = monomial_columns(k, order)
+        for label in descendent_labels(k):
+            series = bracket_series(label, order)
+            assert expand_in_eisenstein(series, k) == tuple(solve_exact(columns, series.coeffs)), label
+
+
+def test_factored_solve_matches_solve_exact_above_the_base_order():
+    series = bracket_series((6, 2), 30)
+    assert expand_in_eisenstein(series, 12) == tuple(solve_exact(monomial_columns(12, 30), series.coeffs))
+
+
+def test_wrong_weight_above_the_base_order_is_inconsistent():
+    with pytest.raises(InconsistentSystemError):
+        expand_in_eisenstein(discriminant(30), 10)
+    # a weight-12 form spoiled in its last coefficient only: the first 30
+    # rows are consistent, so only the last row past the pivots can see it
+    spoiled = bracket_series((6, 2), 30) + QSeries([0] * 30 + [1])
+    for solve in (
+        lambda: expand_in_eisenstein(spoiled, 12),
+        lambda: solve_exact(monomial_columns(12, 30), spoiled.coeffs),
+    ):
+        with pytest.raises(InconsistentSystemError):
+            solve()
