@@ -5,22 +5,11 @@ omitted for integers), output is deterministic byte-for-byte for a fixed
 invocation, and ``--format json`` switches every command to a
 machine-readable payload.  Exit codes: 0 success, 1 domain error, 2
 usage error.
-
-Set ``--cache-dir`` to keep the descendent coordinate matrices of
-``matroid`` and ``conjecture-check`` on disk between invocations; entries
-are keyed by weight, ground set (all or positive) and package version,
-and writes go through a temp file plus rename so concurrent invocations
-never see a torn file.  Each entry carries a SHA-256 of its content; an
-entry that fails to parse, hash or match its weight's shape and labels
-is rebuilt and rewritten rather than trusted.
 """
 
 import argparse
 import json
-import os
 import sys
-import tempfile
-from fractions import Fraction
 
 from . import __version__
 from .decomposition import (
@@ -43,7 +32,6 @@ from .descendents import (
 )
 from .matroid import (
     DEFAULT_MAX_WEIGHT,
-    LinearMatroid,
     check_weight,
     descendent_labels,
     descendent_matrix,
@@ -74,6 +62,20 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}")
 
 
+def _parse_label(text: str) -> tuple[int, ...]:
+    """The label ``--insertions`` names, refused above the weight cap.
+
+    Every label is solved from its partition sums up to base(k), about
+    (k + 6)²/48, so the cost climbs steeply with the weight; at the matroid
+    weight cap the slowest command still takes only seconds.
+    """
+    label = as_label(_parse_int_list(text))
+    k = weight(label)
+    if k > DEFAULT_MAX_WEIGHT:
+        raise ValueError(f"label weight {k} above the weight cap {DEFAULT_MAX_WEIGHT}")
+    return label
+
+
 def _emit(args, text_lines, payload):
     if args.format == "json":
         print(json.dumps(payload))
@@ -93,92 +95,12 @@ def _fail(args, exc) -> int:
     return 1
 
 
-# -- cached matrix construction ----------------------------------------------
-
-
-def _build_matrix(args, k: int, positive: bool, max_weight: int) -> LinearMatroid:
-    """Descendent matroid for the CLI, with optional on-disk caching."""
-    cache_dir = args.cache_dir
-    if cache_dir is None:
-        return descendent_matrix(k, positive=positive, max_weight=max_weight)
-    check_weight(k, max_weight)
-    tag = "pos" if positive else "all"
-    path = os.path.join(cache_dir, f"a{k}_{tag}_v{__version__}.json")
-    header = {"version": __version__, "weight": k, "positive": positive}
-    if os.path.exists(path):
-        m = _load_entry(path, header)
-        if m is not None:
-            return m
-    m = descendent_matrix(k, positive=positive, max_weight=max_weight)
-    payload = {
-        **header,
-        "nrows": m.nrows,
-        "labels": [list(lab) for lab in m.labels],
-        "columns": [[fraction_str(x) for x in col] for col in m.columns],
-    }
-    payload["sha256"] = _digest(payload)
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-    return m
-
-
-def _digest(payload: dict) -> str:
-    """SHA-256 of the canonical JSON form of a cache entry."""
-    # Imported here: loading hashlib takes ~5 ms, which only cache users pay.
-    import hashlib
-
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _load_entry(path: str, header: dict) -> LinearMatroid | None:
-    """The matroid a cache entry holds, or None unless every check passes.
-
-    The entry must match ``header``, carry the weight's row count and
-    ground-set labels, hold one column of that height per label, and
-    hash to its stored digest; anything else, including an entry that
-    does not parse, is a miss.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if not isinstance(payload, dict):
-            return None
-        digest = payload.pop("sha256", None)
-        labels = descendent_labels(header["weight"], header["positive"])
-        nrows = qm_dimension(header["weight"])
-        columns = payload.get("columns")
-        if (
-            digest != _digest(payload)
-            or any(payload.get(key) != value for key, value in header.items())
-            or payload.get("nrows") != nrows
-            or payload.get("labels") != [list(lab) for lab in labels]
-            or not isinstance(columns, list)
-            or len(columns) != len(labels)
-            or any(not isinstance(col, list) or len(col) != nrows for col in columns)
-        ):
-            return None
-        return LinearMatroid(
-            [[Fraction(x) for x in col] for col in columns], labels, nrows=nrows
-        )
-    except (ValueError, TypeError):
-        return None
-
-
 # -- subcommands --------------------------------------------------------------
 
 
 def _cmd_evaluate(args) -> int:
     _check_degree(args.degree, "--degree")
-    label = as_label(_parse_int_list(args.insertions))
+    label = _parse_label(args.insertions)
     value = gw_invariant(label, args.degree)
     _emit(
         args,
@@ -192,7 +114,7 @@ def _cmd_expand(args) -> int:
     order = args.order
     if order is not None:
         _check_degree(order, "--order")
-    label = as_label(_parse_int_list(args.insertions))
+    label = _parse_label(args.insertions)
     if order is None:
         # An odd-weight series is identically 0; it takes the order of
         # the even weight below.
@@ -204,7 +126,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_eisenstein(args) -> int:
-    label = as_label(_parse_int_list(args.insertions))
+    label = _parse_label(args.insertions)
     expansion = to_eisenstein(label)
     body = ", ".join(
         f"{mono.weight_tuple()}: {fraction_str(coeff)}"
@@ -238,7 +160,7 @@ def _cmd_matroid(args) -> int:
         labels = descendent_labels(k, positive=args.positive)
         _emit(args, [_label_list_str(labels)], [list(lab) for lab in labels])
         return 0
-    m = _build_matrix(args, k, args.positive, args.max_weight)
+    m = descendent_matrix(k, positive=args.positive, max_weight=args.max_weight)
     if args.action == "matrix":
         rows = m.matrix()
         payload = {
@@ -393,7 +315,7 @@ def _cmd_conjecture_check(args) -> int:
     lines = []
     ranks = []
     for k in range(4, args.max_weight + 1, 2):
-        m = _build_matrix(args, k, positive=False, max_weight=args.max_weight)
+        m = descendent_matrix(k, max_weight=args.max_weight)
         r, dim = m.rank(), qm_dimension(k)
         ranks.append({"weight": k, "rank": r, "dimension": dim, "match": r == dim})
         lines.append(
@@ -403,8 +325,7 @@ def _cmd_conjecture_check(args) -> int:
     for k in (14, 16, 18):
         if k > args.max_weight:
             continue
-        base = _build_matrix(args, k, positive=True, max_weight=args.max_weight)
-        uniform = named_restriction(k, base=base).is_uniform()
+        uniform = named_restriction(k).is_uniform()
         restrictions.append(
             {"weight": k, "uniform": list(uniform) if uniform else None}
         )
@@ -432,12 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    cached = argparse.ArgumentParser(add_help=False)
-    cached.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory for the coordinate-matrix cache",
-    )
+    # Accepted and ignored so that existing invocations keep working; every
+    # run builds its coordinate matrices afresh.
+    ignored = argparse.ArgumentParser(add_help=False)
+    ignored.add_argument("--cache-dir", help=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="descmat",
@@ -466,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eisenstein)
 
     p = sub.add_parser(
-        "matroid", parents=[common, cached], help="descendent matroid computations"
+        "matroid", parents=[common, ignored], help="descendent matroid computations"
     )
     p.add_argument(
         "action", choices=("matrix", "rank", "groundset", "bases", "count", "tutte")
@@ -511,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "conjecture-check",
-        parents=[common, cached],
+        parents=[common, ignored],
         help="rank-vs-dimension sweep and the curated uniform restrictions",
     )
     p.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT)

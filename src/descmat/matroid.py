@@ -16,6 +16,10 @@ elimination.  Before its first step it refuses work above
 ``ENUMERATION_CAP``, still counted as candidate subsets times rank³ (the
 cost of one elimination per subset, about 0.15 µs·r³ on a 2-vCPU VM), so
 that every accepted or refused enumeration keeps its verdict.
+
+Uniformity is read on the smaller side: U(r, n)* = U(n − r, n), so when
+2r > n the search runs over the dual, whose n − r rows come from the same
+annihilator step folded over the matrix rows.
 """
 
 from collections import Counter
@@ -189,11 +193,39 @@ class LinearMatroid:
             nrows=self.nrows,
         )
 
+    def dual(self) -> "LinearMatroid":
+        """The dual matroid on the same labels, in the same order.
+
+        Its rows are a basis of the kernel of this matrix, the annihilator
+        of the row space, found by folding :func:`_extend` over the rows
+        from the n×n identity.
+        """
+        n = len(self)
+        kernel = _identity(n)
+        for row in zip(*self._int_columns):
+            _, kernel = _extend(kernel, row)
+        return LinearMatroid(
+            [tuple(a[j] for a in kernel) for j in range(n)],
+            self.labels,
+            nrows=len(kernel),
+        )
+
     def is_uniform(self) -> tuple[int, int] | None:
-        """(rank, size) when every rank-subset is a basis, else None."""
-        r = self.rank()
-        uniform = all(rank == r for _, rank in self._ranks((r,)))
-        return (r, len(self)) if uniform else None
+        """(rank, size) when every rank-subset is a basis, else None.
+
+        Above half the size the check runs on the dual, which is uniform
+        exactly when this matroid is.
+        """
+        r, n = self.rank(), len(self)
+        if 2 * r > n:
+            uniform = self.dual().is_uniform() is not None
+        else:
+            uniform = all(rank == r for _, rank in self._ranks((r,)))
+        return (r, n) if uniform else None
+
+
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _extend(basis, col):
@@ -239,8 +271,7 @@ def _subset_ranks(columns, nrows: int, sizes):
     top = max(wanted)
     # a child of a size-d prefix must leave room to reach the next wanted size
     room = [min(s for s in wanted if s > d) - d for d in range(top)]
-    identity = tuple(tuple(int(i == j) for j in range(nrows)) for i in range(nrows))
-    stack = [((), identity, 0)]
+    stack = [((), _identity(nrows), 0)]
     while stack:
         idxs, basis, rank = stack.pop()
         if idxs:
@@ -305,15 +336,14 @@ _NAMED_RESTRICTION_DROPS: dict[int, frozenset] = {
 }
 
 
-def named_restriction(k: int, *, base: LinearMatroid | None = None) -> LinearMatroid:
+def named_restriction(k: int) -> LinearMatroid:
     """The curated positive restrictions in weights 14, 16 and 18.
 
     Keeps the positive labels with at most three insertions and removes a
     short weight-specific list of three-point labels; the removals are
     forced by the uniform-matroid sizes these restrictions hit (10, 14
-    and 16 elements respectively).  ``base`` may supply a prebuilt
-    positive weight-k matroid (e.g. from a cache) to restrict instead of
-    building one.
+    and 16 elements respectively).  Each has rank above half its size,
+    so :meth:`LinearMatroid.is_uniform` checks it on the dual.
     """
     try:
         drops = _NAMED_RESTRICTION_DROPS[k]
@@ -321,6 +351,6 @@ def named_restriction(k: int, *, base: LinearMatroid | None = None) -> LinearMat
         raise ValueError(
             f"named restrictions exist for weights 14, 16, 18; got {k}"
         ) from None
-    m = base if base is not None else descendent_matrix(k, positive=True)
+    m = descendent_matrix(k, positive=True)
     keep = [lab for lab in m.labels if len(lab) <= 3 and lab not in drops]
     return m.restrict(keep)

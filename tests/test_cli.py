@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from descmat import cli
+from descmat import __version__, characters, cli, descendents, partitions
 from descmat.cli import main
 from descmat.qseries import QSeries
 from test_matroid import forbid_subset_rank_tests
@@ -179,56 +179,24 @@ def test_mutually_exclusive_flags_rejected_at_parse_time(capsys):
     assert "--basis" in capsys.readouterr().err
 
 
-def test_cache_round_trip(tmp_path, capsys):
+def test_cache_dir_is_accepted_and_ignored(tmp_path, capsys):
     cache = tmp_path / "cache"
-    args = ("matroid", "rank", "--weight", "8", "--cache-dir", str(cache))
-    code, out, _ = run(capsys, *args)
-    assert code == 0 and out == "4\n"
-    files = list(cache.glob("a8_all_*.json"))
-    assert len(files) == 1
-    payload = json.loads(files[0].read_text())
-    assert payload["weight"] == 8 and payload["version"]
-    # second run loads from the cache and agrees
-    code, out, _ = run(capsys, *args)
-    assert code == 0 and out == "4\n"
-    # a cached entry does not lift the weight cap
-    code, out, err = run(capsys, *args, "--max-weight", "6")
-    assert code == 1 and out == "" and "above the configured cap" in err
-    # a stale-version payload is rebuilt rather than trusted
-    payload["version"] = "0.0.0"
-    files[0].write_text(json.dumps(payload))
-    code, out, _ = run(capsys, *args)
-    assert code == 0 and out == "4\n"
-
-
-def test_cache_entry_with_an_altered_coefficient_is_rebuilt(tmp_path, capsys):
-    args = ("matroid", "matrix", "--weight", "8")
-    _, uncached, _ = run(capsys, *args)
-    cache = tmp_path / "cache"
-    run(capsys, *args, "--cache-dir", str(cache))
-    (entry,) = cache.glob("a8_all_*.json")
-    payload = json.loads(entry.read_text())
-    original = payload["columns"][0][0]
-    payload["columns"][0][0] = "999"
-    entry.write_text(json.dumps(payload))
-    code, out, _ = run(capsys, *args, "--cache-dir", str(cache))
-    assert code == 0 and out == uncached
-    assert json.loads(entry.read_text())["columns"][0][0] == original
-
-
-def test_truncated_cache_entry_is_rebuilt_and_rewritten(tmp_path, capsys):
-    args = ("matroid", "matrix", "--weight", "8")
-    _, uncached, _ = run(capsys, *args)
-    cache = tmp_path / "cache"
-    run(capsys, *args, "--cache-dir", str(cache))
-    (entry,) = cache.glob("a8_all_*.json")
-    whole = entry.read_bytes()
-    entry.write_bytes(whole[: len(whole) // 2])
-    code, out, _ = run(capsys, *args, "--cache-dir", str(cache))
-    assert code == 0 and out == uncached
-    assert entry.read_bytes() == whole
-    code, out, _ = run(capsys, *args, "--cache-dir", str(cache))
-    assert code == 0 and out == uncached
+    cache.mkdir()
+    planted = cache / f"a8_all_v{__version__}.json"
+    planted.write_text("not a matrix")
+    for argv in (
+        ["matroid", "rank", "--weight", "8"],
+        ["matroid", "matrix", "--weight", "8"],
+        ["conjecture-check", "--max-weight", "8"],
+    ):
+        uncached = run(capsys, *argv)
+        assert uncached[0] == 0
+        assert run(capsys, *argv, "--cache-dir", str(cache)) == uncached, argv
+    assert list(cache.iterdir()) == [planted]
+    assert planted.read_text() == "not a matrix"
+    absent = tmp_path / "absent"
+    assert run(capsys, "matroid", "rank", "--weight", "8", "--cache-dir", str(absent))[0] == 0
+    assert not absent.exists()
 
 
 def test_matroid_max_weight_zero_is_a_cap_of_zero(capsys):
@@ -291,6 +259,25 @@ def test_degree_above_the_cap_exits_one_before_any_work(capsys, monkeypatch):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "above the degree cap" in err
+
+
+def test_label_above_the_weight_cap_exits_one_before_any_partition(capsys, monkeypatch):
+    def no_partitions(*args):
+        raise RuntimeError("partitions enumerated")
+
+    for module in (partitions, descendents, characters):
+        monkeypatch.setattr(module, "partitions_of", no_partitions)
+    for argv in (
+        ["evaluate", "--insertions", "30", "--degree", "500"],
+        # p(200) is about 4×10^12 partitions, and 200 is below base(102) = 248
+        ["evaluate", "--insertions", "100", "--degree", "200", "--format", "json"],
+        ["expand", "--insertions", "30", "--order", "500"],
+        ["expand", "--insertions", "17"],
+        ["eisenstein", "--insertions", "60"],
+        ["eisenstein", "--insertions", "4,4,4,0", "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "above the weight cap 18" in err, argv
 
 
 def test_degrees_in_use_stay_below_the_cap(capsys):

@@ -35,6 +35,14 @@ TRANSCRIPTS = [
      "7082c7ed65875daef03f60b1de37d56a144aa1cad87774ae61413f24634b8d43"),
     ("eisenstein --insertions 4,3,1 --format json", 0,
      "7220fbef1ef6abb43013011d895edb5607df6d2e4ada8ca7651920cad48a7d15"),
+    ("eisenstein --insertions 4,4,4", 0,
+     "2d31cb3875e4ec5ae455b486cf235f1aff23ca3a5a1df47763db4020ac29dd01"),
+    ("eisenstein --insertions 17", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("evaluate --insertions 30 --degree 500", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("expand --insertions 30 --order 500 --format json", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("matroid matrix --weight 8", 0,
      "ee036556e55911aaacadcdf80815928efc55fa90232045565c9f31a4f70cc5b7"),
     ("matroid matrix --weight 10 --positive --format json", 0,
@@ -127,6 +135,10 @@ TRANSCRIPTS = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("conjecture-check --max-weight 14", 0,
      "d50f1c607e53f994f34170120ca42fea1cfab9064b50129047e5f5c11daa35b6"),
+    ("conjecture-check", 0,
+     "9859b85464dee91e138ed102f0ad94fd75905a8b8df3f5cf19e7de2dce2e7a6f"),
+    ("conjecture-check --format json", 0,
+     "da5dba1be6ed9389db1b79383d0a4e2eb6b6692c7244917a6761a50bdda53def"),
 ]
 
 

@@ -357,15 +357,56 @@ def test_is_uniform_stops_at_the_first_dependent_subset(monkeypatch):
 
     monkeypatch.setattr(matroid, "_subset_ranks", recorded)
     assert m8.is_uniform() is None
-    # the only dependent 4-subset, {(4, 0), (2, 0, 0), (1, 1, 0), (0, 0, 0, 0)},
-    # is the 30th of the 35 in lexicographic order
-    candidates = list(combinations(range(7), 4))
-    assert tested == candidates[: candidates.index((1, 4, 5, 6)) + 1]
+    # rank 4 on 7 elements, so the check runs on the rank-3 dual.  The only
+    # dependent 4-subset, {(4, 0), (2, 0, 0), (1, 1, 0), (0, 0, 0, 0)} at
+    # (1, 4, 5, 6), leaves the dual's only dependent 3-subset, its complement
+    # (0, 2, 3), the 6th of the 35 in lexicographic order
+    candidates = list(combinations(range(7), 3))
+    assert tested == candidates[: candidates.index((0, 2, 3)) + 1]
 
 
-def _seeded_restriction(seed):
+def _seeded_restriction(seed, size=12):
     m12 = descendent_matrix(12)
-    return m12.restrict(random.Random(seed).sample(m12.labels, 12))
+    return m12.restrict(random.Random(seed).sample(m12.labels, size))
+
+
+DUAL_MATROIDS = {
+    **{f"full-{k}": lambda k=k: descendent_matrix(k) for k in range(4, 13, 2)},
+    **{
+        f"positive-{k}": lambda k=k: descendent_matrix(k, positive=True)
+        for k in range(4, 13, 2)
+    },
+    **{f"named-{k}": lambda k=k: named_restriction(k) for k in (14, 16, 18)},
+    **{
+        f"w12-{size}-labels": lambda size=size: _seeded_restriction(size, size)
+        for size in range(1, 15)
+    },
+    "empty": lambda: LinearMatroid([], [], nrows=3),
+    "rank-0": lambda: LinearMatroid([(0, 0), (0, 0), (0, 0)], "abc"),
+    "n-equals-r": lambda: LinearMatroid([(1, 0, 0), (1, 2, 0), ("1/3", 5, -1)], "abc"),
+    "parallel": lambda: LinearMatroid(
+        [(1, 2, 0), (2, 4, 0), (0, 1, 1), ("-1/2", -1, 0), (3, 6, 0)], "abcde"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DUAL_MATROIDS)
+def test_dual_bases_are_the_complements_of_the_bases(name):
+    m = DUAL_MATROIDS[name]()
+    n, r = len(m), m.rank()
+    d = m.dual()
+    assert d.labels == m.labels and d.rank() == n - r
+
+    def bases(of, size):
+        # the uncapped rank stream: full weight 12's dual is over the work cap
+        stream = matroid._subset_ranks(of._int_columns, of.nrows, (size,))
+        return [idxs for idxs, rank in stream if rank == size]
+
+    primal = bases(m, r)
+    complements = [tuple(i for i in range(n) if i not in b) for b in bases(d, n - r)]
+    assert sorted(complements) == primal
+    assert bases(d.dual(), r) == primal
+    assert m.is_uniform() == ((r, n) if len(primal) == comb(n, r) else None)
 
 
 RANK_STREAM_MATROIDS = {
