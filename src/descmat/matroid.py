@@ -9,23 +9,23 @@ the frozen ground-set order.
 
 Bases, uniformity and the Tutte polynomial come from one subset
 enumeration, a depth-first search over the ground set.  Each prefix
-carries its rank and a primitive integer basis of the annihilator of its
-span, so a child costs one dot product per basis vector, plus one exact
-two-term update when its column leaves the span, instead of a fresh
-elimination.  Before its first step it refuses work above
-``ENUMERATION_CAP``, still counted as candidate subsets times rank³ (the
-cost of one elimination per subset, about 0.15 µs·r³ on a 2-vCPU VM), so
-that every accepted or refused enumeration keeps its verdict.
+carries the rows of its eliminated column matrix, cut to the columns
+after its last index, so a child's rank test is a lookup and extending
+the prefix is one exact two-term pivot step.  Before its first step it
+refuses work above ``ENUMERATION_CAP``, still counted as candidate
+subsets times rank³ (the cost of one elimination per subset; full weight
+12, at 4×10⁷, takes about 0.5 s on a 2-vCPU VM), so that every accepted
+or refused enumeration keeps its verdict.
 
-Uniformity is read on the smaller side: U(r, n)* = U(n − r, n), so when
-2r > n the search runs over the dual, whose n − r rows come from the same
-annihilator step folded over the matrix rows.
+Uniformity and the Tutte polynomial are read on the smaller side: when
+2r > n they run on the dual, U(r, n)* = U(n − r, n) and T_M(x, y) =
+T_M*(y, x), whose n − r rows come from the same pivot step.
 """
 
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 from math import comb, gcd
-from operator import mul
 
 from .descendents import eisenstein_coordinates
 from .linalg import int_row_rank, scale_row_to_int
@@ -142,12 +142,11 @@ class LinearMatroid:
         idxs = self._indices_of(subset)
         return self._subset_rank(idxs) == len(idxs)
 
-    def _ranks(self, sizes):
-        """(index tuple, rank) of the subsets of each size in ``sizes``.
+    def _enumerate(self, kernel, sizes):
+        """``kernel`` over the subsets of each size in ``sizes``.
 
-        Each size's subsets come in lexicographic order; sizes may
-        interleave.  Raises ValueError before the first step when the work
-        exceeds the cap.
+        Raises ValueError before the first step when the work exceeds the
+        cap.
         """
         n, r = len(self), self.rank()
         candidates = sum(comb(n, s) for s in sizes)
@@ -157,23 +156,39 @@ class LinearMatroid:
                 f"enumeration capped: {subsets} = {candidates} subsets times "
                 f"rank {r}³ is {candidates * r**3}, above {ENUMERATION_CAP}"
             )
-        return _subset_ranks(self._int_columns, self.nrows, sizes)
+        return kernel(self._int_columns, self.nrows, sizes)
+
+    def _ranks(self, sizes):
+        return self._enumerate(_subset_ranks, sizes)
 
     def bases(self):
         """All bases, in lexicographic order of label indices."""
-        r = self.rank()
-        for idxs, rank in self._ranks((r,)):
-            if rank == r:
-                yield tuple(self.labels[i] for i in idxs)
+        r, labels = self.rank(), self.labels
+        for idxs, rank, grown in self._enumerate(_subset_groups, (r,)):
+            if grown is None:  # the empty basis, when r = 0
+                yield ()
+            elif rank == r - 1:
+                prefix = tuple(labels[i] for i in idxs)
+                for c in grown:
+                    yield prefix + (labels[c],)
 
     def bases_count(self) -> int:
         r = self.rank()
-        return sum(rank == r for _, rank in self._ranks((r,)))
+        groups = self._enumerate(_subset_groups, (r,))
+        # an independent (r − 1)-prefix, or the empty basis when r = 0
+        return sum(1 if grown is None else len(grown) for _, rank, grown in groups if rank >= r - 1)
 
     def tutte(self) -> TuttePolynomial:
-        """Corank-nullity sum over all subsets, expanded once per (corank, nullity)."""
-        r = self.rank()
-        subsets = self._ranks(range(len(self) + 1))
+        """Corank-nullity sum over all subsets, expanded once per (corank, nullity).
+
+        When 2r > n it is read on the dual, T_M(x, y) = T_M*(y, x), once
+        the cap has passed on this matroid.
+        """
+        r, n = self.rank(), len(self)
+        subsets = self._ranks(range(n + 1))
+        if 2 * r > n:
+            dual = self.dual().tutte().coeffs
+            return TuttePolynomial({(j, i): c for (i, j), c in dual.items()})
         classes = Counter((r - rank, len(idxs) - rank) for idxs, rank in subsets)
         acc: Counter = Counter()
         for (corank, nullity), mult in classes.items():
@@ -196,18 +211,18 @@ class LinearMatroid:
     def dual(self) -> "LinearMatroid":
         """The dual matroid on the same labels, in the same order.
 
-        Its rows are a basis of the kernel of this matrix, the annihilator
-        of the row space, found by folding :func:`_extend` over the rows
-        from the n×n identity.
+        Its rows are a primitive basis of the kernel of the integer column
+        matrix C: the rows of [Cᵀ | Iₙ] left over once :func:`_pivot` has
+        eliminated the first ``nrows`` columns.
         """
         n = len(self)
-        kernel = _identity(n)
-        for row in zip(*self._int_columns):
-            _, kernel = _extend(kernel, row)
+        rows = [[*col, *(int(i == j) for i in range(n))] for j, col in enumerate(self._int_columns)]
+        for _ in range(self.nrows):
+            _, rows = _pivot(rows, 0)
         return LinearMatroid(
-            [tuple(a[j] for a in kernel) for j in range(n)],
+            [tuple(a[j] for a in rows) for j in range(n)],
             self.labels,
-            nrows=len(kernel),
+            nrows=len(rows),
         )
 
     def is_uniform(self) -> tuple[int, int] | None:
@@ -224,72 +239,85 @@ class LinearMatroid:
         return (r, n) if uniform else None
 
 
-def _identity(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def _pivot(rows, c):
+    """Eliminate column ``c`` from integer ``rows``: (grew, rows cut to the columns after c).
 
-
-def _extend(basis, col):
-    """(1, annihilator basis of the span plus ``col``), or (0, ``basis``).
-
-    ``basis`` is a primitive integer basis of the annihilator of a span.
-    If every dot aᵢ·col is zero, col lies in the span and the basis is
-    returned as it is.  Otherwise, with the first nonzero dot t_p, the
-    vectors t_p·aᵢ − tᵢ·a_p (i ≠ p), each divided by its content, are
-    orthogonal to col and independent; a vector with tᵢ = 0 is aᵢ itself
-    up to sign and is kept as it is.
+    With t_p the first nonzero entry of column c, in row p, every other
+    row i becomes t_p·row_i − t_i·row_p, which is zero at c; row p is
+    dropped and grew is 1.  A rebuilt row is divided by its content; a row
+    with tᵢ = 0 is only cut.  When column c is zero in every row, no row
+    is dropped and grew is 0.  Either way, on any set S of later columns
+    the returned rows have the rank of ``rows`` on {c} ∪ S, less grew.
     """
-    dots = [sum(map(mul, a, col)) for a in basis]
-    for p, tp in enumerate(dots):
-        if tp:
+    for p, row in enumerate(rows):
+        if row[c]:
             break
     else:
-        return 0, basis
-    ap = basis[p]
-    reduced = []
-    for i, (a, t) in enumerate(zip(basis, dots)):
-        if i == p:
-            continue
+        return 0, [row[c + 1 :] for row in rows]
+    tp, tail = rows[p][c], rows[p][c + 1 :]
+    reduced = [row[c + 1 :] for row in rows[:p]]
+    for row in rows[p + 1 :]:
+        t = row[c]
         if t:
-            a = [tp * x - t * y for x, y in zip(a, ap)]
-            g = gcd(*a)
-            a = tuple(x // g for x in a) if g > 1 else tuple(a)
-        reduced.append(a)
-    return 1, tuple(reduced)
+            row = [tp * x - t * y for x, y in zip(row[c + 1 :], tail)]
+            g = gcd(*row)
+            reduced.append([x // g for x in row] if g > 1 else row)
+        else:
+            reduced.append(row[c + 1 :])
+    return 1, reduced
 
 
-def _subset_ranks(columns, nrows: int, sizes):
-    """(index tuple, rank) of every subset of ``columns`` with a size in ``sizes``.
+def _subset_groups(columns, nrows: int, sizes):
+    """Every subset of ``columns`` with a size in ``sizes``, with its rank.
 
-    Explicit-stack depth-first search in lexicographic order.  A stack
-    entry is a subset with the rank and annihilator basis of its prefix
-    (the subset minus its last index; the identity for the empty prefix),
-    which :func:`_extend` updates with the last column.  Subsets of the
-    largest wanted size need only their dots.
+    Explicit-stack depth-first search in lexicographic order.  A prefix
+    carries the rows of its eliminated column matrix, cut to the columns
+    after its last index; :func:`_pivot` at the next index gives a child's
+    rows and whether its rank grew.  A wanted subset below the largest
+    wanted size, or the empty set when that size is 0, comes alone as
+    (idxs, rank, None).  Each prefix one short of the largest size comes
+    as (idxs, rank, grown): its child idxs + (c,), for each c after its
+    last index, has rank + 1 when its column is nonzero in the prefix's
+    rows (c in ``grown``), else rank.
     """
     n = len(columns)
     wanted = set(sizes)
     top = max(wanted)
     # a child of a size-d prefix must leave room to reach the next wanted size
     room = [min(s for s in wanted if s > d) - d for d in range(top)]
-    stack = [((), _identity(nrows), 0)]
+    # an entry holds its parent's rows, cut to the columns from ``start``
+    stack = [((), [[col[i] for col in columns] for i in range(nrows)], 0, 0)]
     while stack:
-        idxs, basis, rank = stack.pop()
+        idxs, rows, rank, start = stack.pop()
         if idxs:
-            grew, basis = _extend(basis, columns[idxs[-1]])
+            grew, rows = _pivot(rows, idxs[-1] - start)
             rank += grew
         size = len(idxs)
         if size in wanted:
-            yield idxs, rank
+            yield idxs, rank, None
         if size == top:
             continue
-        children = range(idxs[-1] + 1 if idxs else 0, n - room[size] + 1)
-        if size + 1 < top:
-            stack += ((idxs + (c,), basis, rank) for c in reversed(children))
+        first = idxs[-1] + 1 if idxs else 0
+        if size + 1 == top:
+            yield idxs, rank, list(compress(range(first, n), map(any, zip(*rows))))
             continue
-        # leaves need only their dots
-        for c in children:
-            col = columns[c]
-            yield idxs + (c,), rank + any(sum(map(mul, a, col)) for a in basis)
+        children = range(first, n - room[size] + 1)
+        stack += ((idxs + (c,), rows, rank, first) for c in reversed(children))
+
+
+def _subset_ranks(columns, nrows: int, sizes):
+    """(index tuple, rank) of every subset of ``columns`` with a size in ``sizes``.
+
+    The subsets of :func:`_subset_groups` one at a time: each size's come
+    in lexicographic order, and sizes may interleave.
+    """
+    for idxs, rank, grown in _subset_groups(columns, nrows, sizes):
+        if grown is None:
+            yield idxs, rank
+        else:
+            grown = set(grown)
+            for c in range(idxs[-1] + 1 if idxs else 0, len(columns)):
+                yield idxs + (c,), rank + (c in grown)
 
 
 def descendent_labels(k: int, positive: bool = False) -> tuple:

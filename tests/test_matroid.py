@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb, gcd
@@ -324,7 +325,7 @@ def forbid_subset_rank_tests(monkeypatch):
         raise RuntimeError("the subset enumeration started")
 
     monkeypatch.setattr(LinearMatroid, "_subset_rank", whole_ground_set_only)
-    monkeypatch.setattr(matroid, "_subset_ranks", no_enumeration)
+    monkeypatch.setattr(matroid, "_subset_groups", no_enumeration)
 
 
 @pytest.mark.parametrize(
@@ -396,6 +397,14 @@ def test_dual_bases_are_the_complements_of_the_bases(name):
     n, r = len(m), m.rank()
     d = m.dual()
     assert d.labels == m.labels and d.rank() == n - r
+    # its rows are n - r primitive kernel vectors of the integer columns
+    kernel = [[int(x) for x in row] for row in d.matrix()]
+    assert len(kernel) == n - r
+    for a in kernel:
+        assert gcd(*a) == 1
+        assert all(
+            sum(x * col[i] for x, col in zip(a, m._int_columns)) == 0 for i in range(m.nrows)
+        )
 
     def bases(of, size):
         # the uncapped rank stream: full weight 12's dual is over the work cap
@@ -407,6 +416,121 @@ def test_dual_bases_are_the_complements_of_the_bases(name):
     assert sorted(complements) == primal
     assert bases(d.dual(), r) == primal
     assert m.is_uniform() == ((r, n) if len(primal) == comb(n, r) else None)
+
+
+@pytest.mark.parametrize("name", [name for name in DUAL_MATROIDS if name != "full-12"])
+def test_tutte_is_the_dual_tutte_with_x_and_y_swapped(name):
+    # full weight 12 is left out: 2^21 subsets times rank 7³ is above the cap
+    m = DUAL_MATROIDS[name]()
+    n, r = len(m), m.rank()
+    t, dual = m.tutte(), m.dual().tutte()
+    assert t == TuttePolynomial({(j, i): c for (i, j), c in dual.coeffs.items()})
+    # and the primal corank-nullity sum, from the uncapped rank stream
+    stream = matroid._subset_ranks(m._int_columns, m.nrows, range(n + 1))
+    classes = Counter((len(idxs), rank) for idxs, rank in stream)
+    for x in range(n + 1):
+        for y in range(n + 1):
+            assert t(x, y) == sum(
+                mult * (x - 1) ** (r - rank) * (y - 1) ** (size - rank)
+                for (size, rank), mult in classes.items()
+            )
+
+
+@pytest.mark.parametrize("k", [14, 16, 18])
+def test_named_restriction_tutte_is_the_uniform_closed_form(k):
+    m = named_restriction(k)
+    r, n = m.is_uniform()
+    # T of U(r, n): sum over i of C(n, i) (x - 1)^(r - i) below rank r, C(n, r)
+    # at rank r and C(n, i) (y - 1)^(i - r) above it, expanded
+    expected = Counter()
+    for i in range(n + 1):
+        power = abs(r - i)
+        for e in range(power + 1):
+            term = comb(n, i) * comb(power, e) * (-1) ** (power - e)
+            expected[(e, 0) if i <= r else (0, e)] += term
+    assert m.tutte() == TuttePolynomial(expected)
+
+
+class _ColumnEntry(int):
+    """A column entry that may be multiplied only inside the pivot step."""
+
+    in_pivot = False
+
+    def __mul__(self, other):
+        if not _ColumnEntry.in_pivot:
+            raise AssertionError("a column entry was multiplied outside the pivot step")
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def test_enumeration_takes_the_reduced_row_and_dual_routes(monkeypatch):
+    # rank tests are lookups in the reduced rows: column entries enter
+    # arithmetic only through the pivot step, never a per-child dot product
+    real_pivot = matroid._pivot
+
+    def pivot(rows, c):
+        _ColumnEntry.in_pivot = True
+        try:
+            return real_pivot(rows, c)
+        finally:
+            _ColumnEntry.in_pivot = False
+
+    monkeypatch.setattr(matroid, "_pivot", pivot)
+    m10 = descendent_matrix(10)
+    calls = (
+        LinearMatroid.bases_count,
+        lambda m: list(m.bases()),
+        LinearMatroid.tutte,
+        LinearMatroid.is_uniform,
+        lambda m: list(m._ranks((3, 5))),
+    )
+    expected = [call(m10) for call in calls]
+    m10._int_columns = tuple(tuple(map(_ColumnEntry, col)) for col in m10._int_columns)
+    assert [call(m10) for call in calls] == expected
+
+    # above half rank, tutte() enumerates the dual's rows only
+    searched = []
+    real_groups = matroid._subset_groups
+
+    def recorded(columns, nrows, sizes):
+        searched.append((len(columns), nrows))
+        return real_groups(columns, nrows, sizes)
+
+    monkeypatch.setattr(matroid, "_subset_groups", recorded)
+    for m in (descendent_matrix(8), named_restriction(16), descendent_matrix(14, positive=True)):
+        n, r = len(m), m.rank()
+        assert 2 * r > n
+        searched.clear()
+        m.tutte()
+        assert searched == [(n, n - r)]
+
+
+CAP_MATROIDS = {
+    **{
+        f"{kind}-{k}": lambda k=k, positive=(kind == "positive"): descendent_matrix(k, positive=positive)
+        for kind in ("full", "positive")
+        for k in range(4, 19, 2)
+    },
+    **{f"named-{k}": lambda k=k: named_restriction(k) for k in (14, 16, 18)},
+}
+
+
+@pytest.mark.parametrize("name", CAP_MATROIDS)
+def test_cap_verdicts_follow_the_primal_work_count(monkeypatch, name):
+    m = CAP_MATROIDS[name]()
+    n, r = len(m), m.rank()
+    monkeypatch.setattr(matroid, "_subset_groups", lambda *args: iter(()))
+    for enumerate_, candidates in (
+        (LinearMatroid.bases_count, comb(n, r)),
+        (lambda m: list(m.bases()), comb(n, r)),
+        (LinearMatroid.tutte, 2**n),
+    ):
+        if candidates * r**3 > matroid.ENUMERATION_CAP:
+            with pytest.raises(ValueError, match="enumeration capped"):
+                enumerate_(m)
+        else:
+            enumerate_(m)
 
 
 RANK_STREAM_MATROIDS = {
@@ -454,24 +578,46 @@ def test_rank_stream_matches_subset_rank(name):
 
 
 @settings(max_examples=100)
-@given(
-    st.integers(min_value=1, max_value=5).flatmap(
-        lambda h: st.lists(
-            st.lists(st.integers(-3, 3).map(lambda x: 6 * x), min_size=h, max_size=h)
-            | st.lists(st.integers(-40, 40), min_size=h, max_size=h),
-            min_size=1,
-            max_size=7,
-        )
-    )
-)
-def test_annihilator_step_keeps_a_primitive_basis(columns):
-    nrows = len(columns[0])
-    basis = tuple(tuple(int(i == j) for j in range(nrows)) for i in range(nrows))
-    for step in range(1, len(columns) + 1):
-        grew, basis = matroid._extend(basis, columns[step - 1])
-        rank = int_row_rank(columns[:step])
-        assert grew == rank - int_row_rank(columns[: step - 1])
-        assert len(basis) == nrows - rank
-        for a in basis:
-            assert gcd(*a) == 1
-            assert all(sum(x * y for x, y in zip(a, col)) == 0 for col in columns[:step])
+@given(st.data())
+def test_pivot_eliminates_a_prefix(data):
+    nrows = data.draw(st.integers(1, 5), label="nrows")
+    entry = st.integers(-3, 3) | st.integers(-(2**64), 2**64)
+    columns = []
+    for _ in range(data.draw(st.integers(1, 7), label="n")):
+        kind = data.draw(st.sampled_from(("new", "zero", "parallel")) if columns else st.just("new"))
+        if kind == "new":
+            columns.append(data.draw(st.lists(entry, min_size=nrows, max_size=nrows)))
+        elif kind == "zero":
+            columns.append([0] * nrows)
+        else:
+            col, factor = data.draw(st.sampled_from(columns)), data.draw(st.integers(-6, 6))
+            columns.append([factor * x for x in col])
+    n = len(columns)
+    rows = [[col[i] for col in columns] for i in range(nrows)]
+    # rows that are combinations of others keep nrows above the rank
+    for _ in range(data.draw(st.integers(0, 2), label="dependent rows")):
+        a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+        i, j = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, nrows - 1))
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    columns = [[row[j] for row in rows] for j in range(n)]
+    # primitive or zero rows stay so when the prefix leaves no column out
+    rows = [[x // g for x in row] if (g := gcd(*row)) else row for row in rows]
+    prefix = sorted(data.draw(st.sets(st.integers(0, n - 1)), label="prefix"))
+
+    def rank(idxs):
+        return int_row_rank([columns[j] for j in idxs])
+
+    start = 0
+    for step, c in enumerate(prefix):
+        grew, rows = matroid._pivot(rows, c - start)
+        start = c + 1
+        assert grew == rank(prefix[: step + 1]) - rank(prefix[:step])
+    assert len(rows) == len(columns[0]) - rank(prefix)
+    assert all(len(row) == n - start for row in rows)
+    if prefix == list(range(len(prefix))):
+        assert all(gcd(*row) in (0, 1) for row in rows)
+    later = range(start, n)
+    for size in range(len(later) + 1):
+        for subset in combinations(later, size):
+            reduced = [[row[j - start] for j in subset] for row in rows]
+            assert int_row_rank(reduced) == rank(prefix + list(subset)) - rank(prefix)
