@@ -45,6 +45,9 @@ from .quasimodular import base_order, eisenstein_monomials, qm_dimension
 # cost grows at least quadratically with the degree; at 500 the slowest
 # route takes about 3 s on a 2-vCPU VM
 _MAX_DEGREE = 500
+# `matroid` and `conjecture-check` list every partition of each weight up to
+# --max-weight; a cold weight-26 matrix takes about 4 s on a 2-vCPU VM
+_MAX_WEIGHT_CEILING = 26
 
 
 def _check_degree(d: int, flag: str) -> None:
@@ -445,6 +448,8 @@ def main(argv=None) -> int:
     if args.command == "tau" and args.method != "pentagonal" and args.basis is not None:
         parser.error("--basis only applies to --method pentagonal")
     try:
+        if getattr(args, "max_weight", 0) > _MAX_WEIGHT_CEILING:
+            raise ValueError(f"--max-weight {args.max_weight} above the ceiling {_MAX_WEIGHT_CEILING}")
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         return _fail(args, exc)

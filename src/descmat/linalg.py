@@ -1,13 +1,17 @@
 """Exact linear algebra over the rationals.
 
-One fraction-free (Bareiss) elimination kernel serves three entry
-points: :func:`int_row_rank` returns the rank it finds,
-:func:`solve_exact` runs it on the target-augmented rows and
-back-substitutes, and :func:`factor_columns` runs it once on
-identity-augmented columns to solve many targets against them, with
-:func:`solve_exact` as its oracle.  Rational rows are made integer by
-clearing denominators: no floating point, no pivot tolerance, and the
-two-term update keeps intermediate entries at minor-determinant size.
+One elimination step, :func:`_pivot`, serves the whole package.  It
+eliminates one column of integer rows by the two-term update
+t_p·row_i − t_i·row_p and divides each rebuilt row by its content,
+which keeps entries at minor-determinant size.  :func:`_echelon` folds
+the step over leading columns: :func:`int_row_rank` counts its pivots,
+and :func:`solve_exact` and :func:`factor_columns` back-substitute
+through them, the first for one target-augmented column and the second
+for identity-augmented columns that solve many targets, with
+:func:`solve_exact` as its oracle.  The subset search and the dual in
+:mod:`descmat.matroid` take the same step.  Rational rows are made
+integer by clearing denominators: no floating point and no pivot
+tolerance.
 """
 
 from fractions import Fraction
@@ -23,65 +27,93 @@ class InconsistentSystemError(ValueError):
     """The target vector is not in the span of the columns."""
 
 
+def _over_common_denominator(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def scale_row_to_int(row) -> list[int]:
     """Clear denominators of one rational row and divide out the content."""
-    fr = [Fraction(x) for x in row]
-    if not fr:
-        return []
-    mult = lcm(*(f.denominator for f in fr))
-    ints = [f.numerator * (mult // f.denominator) for f in fr]
+    ints, _ = _over_common_denominator([Fraction(x) for x in row])
     g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    return [x // g for x in ints] if g > 1 else ints
 
 
-def _eliminate(m: list[list[int]], ncols: int) -> int:
-    """Bareiss-eliminate the integer rows ``m`` in place; return the rank.
+def _pivot(rows, c):
+    """Eliminate column ``c`` from integer ``rows``: (pivot, rows cut to the columns after c).
 
-    Pivots are sought only in the first ``ncols`` columns, but every
-    update runs to the end of the row, so trailing columns (an augmented
-    target) are carried along.  The k-th pivot lands in row k, and rows
-    from the rank on are zero in the first ``ncols`` columns; at rank
-    ``ncols`` the pivots are the diagonal entries.
+    With t_p the first nonzero entry of column c, in row p, every other
+    row i becomes t_p·row_i − t_i·row_p, which is zero at c; row p is
+    dropped and pivot is (t_p, tail), tail being row p cut to the columns
+    after c.  A rebuilt row is divided by its content; a row with tᵢ = 0
+    is only cut.  When column c is zero in every row, no row is dropped
+    and pivot is None.  Either way, on any set S of later columns the
+    returned rows have the rank of ``rows`` on {c} ∪ S, less one for a
+    pivot.
     """
-    nrows = len(m)
-    width = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    for c in range(ncols):
-        if rank == nrows:
+    for p, row in enumerate(rows):
+        if row[c]:
             break
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        pv = pr[c]
-        for i in range(rank + 1, nrows):
-            ri = m[i]
-            f = ri[c]
-            if f:
-                for j in range(c + 1, width):
-                    ri[j] = (pv * ri[j] - f * pr[j]) // prev
-            elif pv != prev:
-                for j in range(c + 1, width):
-                    ri[j] = (pv * ri[j]) // prev
-            ri[c] = 0
-        prev = pv
-        rank += 1
-    return rank
+    else:
+        return None, [row[c + 1 :] for row in rows]
+    tp, tail = rows[p][c], rows[p][c + 1 :]
+    reduced = [row[c + 1 :] for row in rows[:p]]
+    for row in rows[p + 1 :]:
+        t = row[c]
+        if t:
+            row = [tp * x - t * y for x, y in zip(row[c + 1 :], tail)]
+            g = gcd(*row)
+            reduced.append([x // g for x in row] if g > 1 else row)
+        else:
+            reduced.append(row[c + 1 :])
+    return (tp, tail), reduced
+
+
+def _echelon(rows, ncols: int):
+    """:func:`_pivot` folded over the first ``ncols`` columns of ``rows``.
+
+    Returns (pivots, rest): pivots[j] is column j's pivot or None, and
+    rest holds the rows that never pivoted, cut to the columns from
+    ``ncols`` on.
+    """
+    pivots = [None] * ncols
+    for j in range(ncols):
+        pivots[j], rows = _pivot(rows, 0)
+    return pivots, rows
 
 
 def int_row_rank(rows) -> int:
-    """Rank of an integer matrix by Bareiss elimination with row pivoting."""
-    m = [list(r) for r in rows]
-    return _eliminate(m, len(m[0]) if m else 0)
+    """Rank of an integer matrix: the number of pivots :func:`_echelon` finds."""
+    rows = list(rows)
+    pivots, _ = _echelon(rows, len(rows[0]) if rows else 0)
+    return len(pivots) - pivots.count(None)
+
+
+def _solve(rows, ncols: int):
+    """(X, rest) for the integer rows [A | B], A having ``ncols`` columns.
+
+    Every column of A must pivot, else :class:`SingularSystemError`.  X
+    holds one row of fractions per unknown, back-substituted through the
+    pivot rows, and solves A·X = B whenever B is in the column span,
+    which holds exactly when every row of ``rest`` is zero.
+    """
+    if len(rows) < ncols:
+        raise SingularSystemError(f"{len(rows)} rows cannot pin down {ncols} unknowns")
+    pivots, rest = _echelon(rows, ncols)
+    rank = ncols - pivots.count(None)
+    if rank < ncols:
+        raise SingularSystemError(f"column rank {rank} < {ncols}: system is singular")
+    x: list[list[Fraction]] = [[]] * ncols
+    for j in reversed(range(ncols)):
+        tp, tail = pivots[j]
+        later = ncols - 1 - j
+        row = [Fraction(v) for v in tail[later:]]
+        for u, xk in zip(tail[:later], x[j + 1 :]):
+            if u:
+                row = [a - u * b for a, b in zip(row, xk)]
+        x[j] = [a / tp for a in row]
+    return x, rest
 
 
 def solve_exact(columns, target) -> list[Fraction]:
@@ -98,27 +130,14 @@ def solve_exact(columns, target) -> list[Fraction]:
     nrows = len(target)
     if any(len(col) != nrows for col in columns):
         raise ValueError("columns and target must have equal length")
-    if nrows < ncols:
-        raise SingularSystemError(f"{nrows} rows cannot pin down {ncols} unknowns")
-    m = [
-        scale_row_to_int([columns[j][i] for j in range(ncols)] + [target[i]])
-        for i in range(nrows)
-    ]
-    rank = _eliminate(m, ncols)
-    if rank < ncols:
-        raise SingularSystemError(f"column rank {rank} < {ncols}: system is singular")
-    for i in range(ncols, nrows):
-        if m[i][ncols]:
+    rows = [scale_row_to_int([col[i] for col in columns] + [t]) for i, t in enumerate(target)]
+    x, rest = _solve(rows, ncols)
+    for i, (t,) in enumerate(rest, start=ncols):
+        if t:
             raise InconsistentSystemError(
                 f"row {i} is inconsistent: target is not in the column span"
             )
-    x = [Fraction(0)] * ncols
-    for r in reversed(range(ncols)):
-        s = Fraction(m[r][ncols])
-        for j in range(r + 1, ncols):
-            s -= m[r][j] * x[j]
-        x[r] = s / m[r][r]
-    return x
+    return [xj for (xj,) in x]
 
 
 def factor_columns(columns):
@@ -138,27 +157,15 @@ def factor_columns(columns):
     nrows = len(columns[0]) if columns else 0
     if any(len(col) != nrows for col in columns):
         raise ValueError("columns must have equal length")
-    if nrows < ncols:
-        raise SingularSystemError(f"{nrows} rows cannot pin down {ncols} unknowns")
     dens = [lcm(*(Fraction(x).denominator for x in col)) for col in columns]
     m = [
         [int(Fraction(col[i]) * den) for col, den in zip(columns, dens)]
         + [int(i == r) for r in range(nrows)]
         for i in range(nrows)
     ]
-    rank = _eliminate(m, ncols)
-    if rank < ncols:
-        raise SingularSystemError(f"column rank {rank} < {ncols}: system is singular")
-    checks = [row[ncols:] for row in m[ncols:]]
-    # y = U^-1 L_top t solves the scaled columns; column j's unknown is dens[j] * y_j
-    ops: list[list[Fraction]] = [[]] * ncols
-    for r in reversed(range(ncols)):
-        row = [Fraction(v) for v in m[r][ncols:]]
-        for j in range(r + 1, ncols):
-            u = m[r][j]
-            if u:
-                row = [a - u * b for a, b in zip(row, ops[j])]
-        ops[r] = [a / m[r][r] for a in row]
+    # row j of ops maps a target to the j-th scaled column's coefficient,
+    # so column j's own unknown is dens[j] times it
+    ops, checks = _solve(m, ncols)
     den = lcm(*(f.denominator for row in ops for f in row))
     solution = [
         [f.numerator * (den // f.denominator) * scale for f in row]
@@ -168,9 +175,7 @@ def factor_columns(columns):
     def solve(target) -> tuple[Fraction, ...]:
         if len(target) != nrows:
             raise ValueError("columns and target must have equal length")
-        t = [Fraction(x) for x in target]
-        t_den = lcm(*(f.denominator for f in t))
-        ints = [f.numerator * (t_den // f.denominator) for f in t]
+        ints, t_den = _over_common_denominator([Fraction(x) for x in target])
         for i, row in enumerate(checks, start=ncols):
             if sum(map(mul, row, ints)):
                 raise InconsistentSystemError(

@@ -1,21 +1,22 @@
 """Linear matroids over the rationals, and the descendent matroids.
 
 A :class:`LinearMatroid` wraps a labeled rational column matrix;
-independence means exact linear independence, decided by fraction-free
-integer elimination after clearing denominators column by column (column
-scaling cannot change independence).  The weight-k descendent matroid is
-built from the Eisenstein coordinate columns of every weight-k label in
-the frozen ground-set order.
+independence means exact linear independence.  Denominators are cleared
+column by column (column scaling cannot change independence), and every
+rank, the dual and the subset search below take the package's one
+elimination step, :func:`~descmat.linalg._pivot`.  The weight-k
+descendent matroid is built from the Eisenstein coordinate columns of
+every weight-k label in the frozen ground-set order.
 
 Bases, uniformity and the Tutte polynomial come from one subset
 enumeration, a depth-first search over the ground set.  Each prefix
 carries the rows of its eliminated column matrix, cut to the columns
 after its last index, so a child's rank test is a lookup and extending
-the prefix is one exact two-term pivot step.  Before its first step it
-refuses work above ``ENUMERATION_CAP``, still counted as candidate
-subsets times rank³ (the cost of one elimination per subset; full weight
-12, at 4×10⁷, takes about 0.5 s on a 2-vCPU VM), so that every accepted
-or refused enumeration keeps its verdict.
+the prefix is one pivot step.  Before its first step it refuses work
+above ``ENUMERATION_CAP``, still counted as candidate subsets times rank³
+(the cost of one elimination per subset; full weight 12, at 4×10⁷, takes
+about 0.5 s on a 2-vCPU VM), so that every accepted or refused
+enumeration keeps its verdict.
 
 Uniformity and the Tutte polynomial are read on the smaller side: when
 2r > n they run on the dual, U(r, n)* = U(n − r, n) and T_M(x, y) =
@@ -25,10 +26,10 @@ T_M*(y, x), whose n − r rows come from the same pivot step.
 from collections import Counter
 from fractions import Fraction
 from itertools import compress
-from math import comb, gcd
+from math import comb
 
 from .descendents import eisenstein_coordinates
-from .linalg import int_row_rank, scale_row_to_int
+from .linalg import _echelon, _pivot, int_row_rank, scale_row_to_int
 from .partitions import partitions_min_two
 from .qseries import join_signed
 from .quasimodular import qm_dimension
@@ -212,13 +213,12 @@ class LinearMatroid:
         """The dual matroid on the same labels, in the same order.
 
         Its rows are a primitive basis of the kernel of the integer column
-        matrix C: the rows of [Cᵀ | Iₙ] left over once :func:`_pivot` has
+        matrix C: the rows of [Cᵀ | Iₙ] left over once :func:`_echelon` has
         eliminated the first ``nrows`` columns.
         """
         n = len(self)
         rows = [[*col, *(int(i == j) for i in range(n))] for j, col in enumerate(self._int_columns)]
-        for _ in range(self.nrows):
-            _, rows = _pivot(rows, 0)
+        _, rows = _echelon(rows, self.nrows)
         return LinearMatroid(
             [tuple(a[j] for a in rows) for j in range(n)],
             self.labels,
@@ -237,34 +237,6 @@ class LinearMatroid:
         else:
             uniform = all(rank == r for _, rank in self._ranks((r,)))
         return (r, n) if uniform else None
-
-
-def _pivot(rows, c):
-    """Eliminate column ``c`` from integer ``rows``: (grew, rows cut to the columns after c).
-
-    With t_p the first nonzero entry of column c, in row p, every other
-    row i becomes t_p·row_i − t_i·row_p, which is zero at c; row p is
-    dropped and grew is 1.  A rebuilt row is divided by its content; a row
-    with tᵢ = 0 is only cut.  When column c is zero in every row, no row
-    is dropped and grew is 0.  Either way, on any set S of later columns
-    the returned rows have the rank of ``rows`` on {c} ∪ S, less grew.
-    """
-    for p, row in enumerate(rows):
-        if row[c]:
-            break
-    else:
-        return 0, [row[c + 1 :] for row in rows]
-    tp, tail = rows[p][c], rows[p][c + 1 :]
-    reduced = [row[c + 1 :] for row in rows[:p]]
-    for row in rows[p + 1 :]:
-        t = row[c]
-        if t:
-            row = [tp * x - t * y for x, y in zip(row[c + 1 :], tail)]
-            g = gcd(*row)
-            reduced.append([x // g for x in row] if g > 1 else row)
-        else:
-            reduced.append(row[c + 1 :])
-    return 1, reduced
 
 
 def _subset_groups(columns, nrows: int, sizes):
@@ -290,8 +262,8 @@ def _subset_groups(columns, nrows: int, sizes):
     while stack:
         idxs, rows, rank, start = stack.pop()
         if idxs:
-            grew, rows = _pivot(rows, idxs[-1] - start)
-            rank += grew
+            pivot, rows = _pivot(rows, idxs[-1] - start)
+            rank += pivot is not None
         size = len(idxs)
         if size in wanted:
             yield idxs, rank, None

@@ -8,9 +8,9 @@ Values are immutable and safe to share between threads.
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
 from operator import mul
 
+from .linalg import _over_common_denominator
 from .partitions import partition_count, pentagonal_pairs
 from .shifted import bernoulli
 
@@ -150,12 +150,6 @@ class QSeries:
                 body = q if abs(c) == 1 else f"{fraction_str(abs(c))}*{q}"
             parts.append(("-" if c < 0 else "+", body))
         return join_signed(parts)
-
-
-def _over_common_denominator(coeffs) -> tuple[list[int], int]:
-    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 @cache

@@ -280,6 +280,27 @@ def test_label_above_the_weight_cap_exits_one_before_any_partition(capsys, monke
         assert code == 1 and out == "" and "above the weight cap 18" in err, argv
 
 
+def test_max_weight_above_the_ceiling_exits_one_before_any_partition(capsys, monkeypatch):
+    ceiling = str(cli._MAX_WEIGHT_CEILING)
+    code, out, _ = run(capsys, "matroid", "groundset", "--weight", ceiling, "--max-weight", ceiling)
+    assert code == 0 and out.startswith(f"[[{cli._MAX_WEIGHT_CEILING - 2}], ")
+
+    def no_partitions(*args):
+        raise RuntimeError("partitions enumerated")
+
+    monkeypatch.setattr(partitions, "partitions_of", no_partitions)
+    above = str(cli._MAX_WEIGHT_CEILING + 1)
+    for argv in (
+        # p(72) = 5 392 783 partitions, each a tuple, before any matrix is built
+        ["matroid", "groundset", "--weight", "72", "--max-weight", "72"],
+        ["matroid", "rank", "--weight", "8", "--max-weight", above],
+        ["conjecture-check", "--max-weight", above],
+        ["conjecture-check", "--max-weight", "72", "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and f"above the ceiling {ceiling}" in err, argv
+
+
 def test_degrees_in_use_stay_below_the_cap(capsys):
     # the README and the benchmark's sessions ask for tau up to d = 200
     code, out, _ = run(capsys, "tau", "--d", "200", "--method", "niebur")

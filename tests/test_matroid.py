@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from test_linalg import fraction_gauss_rank
 
 from descmat import matroid
-from descmat.linalg import int_row_rank
 from descmat.matroid import (
     LinearMatroid,
     TuttePolynomial,
@@ -561,7 +560,7 @@ def test_rank_stream_matches_subset_rank(name):
 
     def oracle(size):
         return [
-            (idxs, int_row_rank([m._int_columns[i] for i in idxs]))
+            (idxs, fraction_gauss_rank([m._int_columns[i] for i in idxs]))
             for idxs in combinations(range(n), size)
         ]
 
@@ -605,13 +604,17 @@ def test_pivot_eliminates_a_prefix(data):
     prefix = sorted(data.draw(st.sets(st.integers(0, n - 1)), label="prefix"))
 
     def rank(idxs):
-        return int_row_rank([columns[j] for j in idxs])
+        return fraction_gauss_rank([columns[j] for j in idxs])
 
     start = 0
     for step, c in enumerate(prefix):
-        grew, rows = matroid._pivot(rows, c - start)
+        pivot, rows = matroid._pivot(rows, c - start)
+        grew = rank(prefix[: step + 1]) - rank(prefix[:step])
+        assert (pivot is not None) == grew
+        if pivot is not None:
+            tp, tail = pivot
+            assert tp != 0 and len(tail) == n - c - 1
         start = c + 1
-        assert grew == rank(prefix[: step + 1]) - rank(prefix[:step])
     assert len(rows) == len(columns[0]) - rank(prefix)
     assert all(len(row) == n - start for row in rows)
     if prefix == list(range(len(prefix))):
@@ -620,4 +623,4 @@ def test_pivot_eliminates_a_prefix(data):
     for size in range(len(later) + 1):
         for subset in combinations(later, size):
             reduced = [[row[j - start] for j in subset] for row in rows]
-            assert int_row_rank(reduced) == rank(prefix + list(subset)) - rank(prefix)
+            assert fraction_gauss_rank(reduced) == rank(prefix + list(subset)) - rank(prefix)
