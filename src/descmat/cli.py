@@ -9,6 +9,7 @@ usage error.
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -453,6 +454,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         return _fail(args, exc)
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): send the unflushed
+        # rest to devnull so the exit-time flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,11 +12,14 @@ Bases, uniformity and the Tutte polynomial come from one subset
 enumeration, a depth-first search over the ground set.  Each prefix
 carries the rows of its eliminated column matrix, cut to the columns
 after its last index, so a child's rank test is a lookup and extending
-the prefix is one pivot step.  Before its first step it refuses work
-above ``ENUMERATION_CAP``, still counted as candidate subsets times rank³
-(the cost of one elimination per subset; full weight 12, at 4×10⁷, takes
-about 0.5 s on a 2-vCPU VM), so that every accepted or refused
-enumeration keeps its verdict.
+the prefix is one pivot step.  The last two levels take no step: a
+prefix two short of the size sought sorts its later columns into
+parallel classes, which give the rank of every single and pair after it.
+Before its first step the search refuses work above ``ENUMERATION_CAP``,
+still counted as candidate subsets times rank³ (the cost of one
+elimination per subset; full weight 12, at 4×10⁷, takes about 0.2 s on a
+2-vCPU VM), so that every accepted or refused enumeration keeps its
+verdict.
 
 Uniformity and the Tutte polynomial are read on the smaller side: when
 2r > n they run on the dual, U(r, n)* = U(n − r, n) and T_M(x, y) =
@@ -25,8 +28,7 @@ T_M*(y, x), whose n − r rows come from the same pivot step.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import compress
-from math import comb
+from math import comb, gcd
 
 from .descendents import eisenstein_coordinates
 from .linalg import _echelon, _pivot, int_row_rank, scale_row_to_int
@@ -165,19 +167,33 @@ class LinearMatroid:
     def bases(self):
         """All bases, in lexicographic order of label indices."""
         r, labels = self.rank(), self.labels
-        for idxs, rank, grown in self._enumerate(_subset_groups, (r,)):
-            if grown is None:  # the empty basis, when r = 0
+        for idxs, rank, ids in self._enumerate(_subset_groups, (r,)):
+            if ids is None:  # the empty basis, when r = 0
                 yield ()
-            elif rank == r - 1:
+            elif rank == len(idxs):  # an independent (r − 2)-prefix, or the root when r = 1
                 prefix = tuple(labels[i] for i in idxs)
-                for c in grown:
-                    yield prefix + (labels[c],)
+                first = idxs[-1] + 1 if idxs else 0
+                later = [(labels[c], i) for c, i in enumerate(ids, first) if i]
+                if rank == r - 1:
+                    yield from (prefix + (a,) for a, _ in later)
+                    continue
+                for k, (a, i) in enumerate(later, 1):
+                    yield from (prefix + (a, b) for b, j in later[k:] if j != i)
 
     def bases_count(self) -> int:
         r = self.rank()
-        groups = self._enumerate(_subset_groups, (r,))
-        # an independent (r − 1)-prefix, or the empty basis when r = 0
-        return sum(1 if grown is None else len(grown) for _, rank, grown in groups if rank >= r - 1)
+        count = 0
+        for idxs, rank, ids in self._enumerate(_subset_groups, (r,)):
+            if ids is None:  # the empty basis, when r = 0
+                count += 1
+            elif rank == len(idxs):  # an independent (r − 2)-prefix, or the root when r = 1
+                classes = Counter(ids)
+                z = len(ids) - classes.pop(0, 0)
+                if rank == r - 1:
+                    count += z
+                else:  # pairs of nonzero columns, less the parallel ones
+                    count += comb(z, 2) - sum(comb(m, 2) for m in classes.values())
+        return count
 
     def tutte(self) -> TuttePolynomial:
         """Corank-nullity sum over all subsets, expanded once per (corank, nullity).
@@ -245,12 +261,15 @@ def _subset_groups(columns, nrows: int, sizes):
     Explicit-stack depth-first search in lexicographic order.  A prefix
     carries the rows of its eliminated column matrix, cut to the columns
     after its last index; :func:`_pivot` at the next index gives a child's
-    rows and whether its rank grew.  A wanted subset below the largest
-    wanted size, or the empty set when that size is 0, comes alone as
-    (idxs, rank, None).  Each prefix one short of the largest size comes
-    as (idxs, rank, grown): its child idxs + (c,), for each c after its
-    last index, has rank + 1 when its column is nonzero in the prefix's
-    rows (c in ``grown``), else rank.
+    rows and whether its rank grew.  Prefixes stop two short of the
+    largest wanted size (at the root when that size is 1 or 2), and each
+    such prefix comes as (idxs, rank, ids): ids holds the
+    :func:`_parallel_classes` of its rows, one per column after its last
+    index, so the last two levels take no pivot.  idxs + (a,) has rank +
+    [ids_a ≠ 0], and idxs + (a, b) has rank + [ids_a ≠ 0] + [ids_b ∉ {0,
+    ids_a}].  A wanted subset that is itself a prefix comes alone, as
+    (idxs, rank, None), ahead of its group; when the largest wanted size
+    is 0 that is the empty set and there is no group.
     """
     n = len(columns)
     wanted = set(sizes)
@@ -270,26 +289,52 @@ def _subset_groups(columns, nrows: int, sizes):
         if size == top:
             continue
         first = idxs[-1] + 1 if idxs else 0
-        if size + 1 == top:
-            yield idxs, rank, list(compress(range(first, n), map(any, zip(*rows))))
+        if size + 2 >= top:
+            yield idxs, rank, _parallel_classes(rows, n - first)
             continue
         children = range(first, n - room[size] + 1)
         stack += ((idxs + (c,), rows, rank, first) for c in reversed(children))
 
 
+def _parallel_classes(rows, width: int) -> list[int]:
+    """Class id of each of the ``width`` columns of integer ``rows``.
+
+    0 for a zero column; otherwise one id per primitive integer vector,
+    its sign fixed by its first nonzero entry, so two columns share an id
+    exactly when they are parallel.  Keys are built by gcd and floor
+    division alone.
+    """
+    ids, classes = [0] * width, {}
+    for c, col in enumerate(zip(*rows)):
+        g = gcd(*col)
+        if g:
+            if next(filter(None, col)) < 0:
+                g = -g
+            key = col if g == 1 else tuple([x // g for x in col])
+            ids[c] = classes.setdefault(key, len(classes) + 1)
+    return ids
+
+
 def _subset_ranks(columns, nrows: int, sizes):
     """(index tuple, rank) of every subset of ``columns`` with a size in ``sizes``.
 
-    The subsets of :func:`_subset_groups` one at a time: each size's come
-    in lexicographic order, and sizes may interleave.
+    The subsets of :func:`_subset_groups` one at a time, a group's singles
+    before its pairs: each size's come in lexicographic order, and sizes
+    may interleave.
     """
-    for idxs, rank, grown in _subset_groups(columns, nrows, sizes):
-        if grown is None:
+    wanted = set(sizes)
+    for idxs, rank, ids in _subset_groups(columns, nrows, sizes):
+        if ids is None:
             yield idxs, rank
-        else:
-            grown = set(grown)
-            for c in range(idxs[-1] + 1 if idxs else 0, len(columns)):
-                yield idxs + (c,), rank + (c in grown)
+            continue
+        first = idxs[-1] + 1 if idxs else 0
+        if len(idxs) + 1 in wanted:
+            for a, i in enumerate(ids, first):
+                yield idxs + (a,), rank + (i != 0)
+        if len(idxs) + 2 in wanted:
+            for a, i in enumerate(ids, first):
+                for b, j in enumerate(ids[a - first + 1 :], a + 1):
+                    yield idxs + (a, b), rank + (i != 0) + (j != 0 and j != i)
 
 
 def descendent_labels(k: int, positive: bool = False) -> tuple:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -345,3 +349,21 @@ def test_order_and_cache_dir_belong_to_their_commands(tmp_path, capsys):
                 main(argv)
             assert excinfo.value.code == 2, argv
             assert flag in capsys.readouterr().err, argv
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_exit_one_and_no_traceback():
+    # 102 670 lines overflow any pipe buffer, so the writer meets the closed pipe
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "descmat.cli", "matroid", "bases", "--weight", "12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"[[10], [8, 0], [7, 1], [6, 2], [6, 0, 0], [5, 3], [5, 1, 0]]\n"
+    assert err == b""

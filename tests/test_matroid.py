@@ -624,3 +624,68 @@ def test_pivot_eliminates_a_prefix(data):
         for subset in combinations(later, size):
             reduced = [[row[j - start] for j in subset] for row in rows]
             assert fraction_gauss_rank(reduced) == rank(prefix + list(subset)) - rank(prefix)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_group_classes_give_every_single_and_pair_rank(data):
+    nrows = data.draw(st.integers(1, 4), label="nrows")
+    entry = st.integers(-3, 3) | st.integers(-(2**64), 2**64)
+    columns = []
+    for _ in range(data.draw(st.integers(1, 8), label="n")):
+        kind = data.draw(st.sampled_from(("new", "zero", "parallel")) if columns else st.just("new"))
+        if kind == "new":
+            columns.append(data.draw(st.lists(entry, min_size=nrows, max_size=nrows)))
+        elif kind == "zero":
+            columns.append([0] * nrows)
+        else:  # v beside -v, 3v, ...
+            col, factor = data.draw(st.sampled_from(columns)), data.draw(st.sampled_from((-1, 3, -3, 2)))
+            columns.append([factor * x for x in col])
+    # a row that is a combination of others keeps nrows above the rank
+    if data.draw(st.booleans(), label="dependent row"):
+        a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+        for col in columns:
+            col.append(a * col[0] + b * col[-1])
+    n = len(columns)
+    top = data.draw(st.integers(1, n), label="largest size")
+    sizes = {top} | data.draw(st.sets(st.integers(0, top)), label="sizes")
+
+    def rank(idxs):
+        return fraction_gauss_rank([columns[j] for j in idxs])
+
+    groups = 0
+    for idxs, r, ids in matroid._subset_groups(columns, len(columns[0]), sizes):
+        assert r == rank(idxs)
+        if ids is None:
+            continue
+        groups += 1
+        first = idxs[-1] + 1 if idxs else 0
+        assert len(idxs) == max(top - 2, 0) and len(ids) == n - first
+        for a, i in enumerate(ids, first):
+            assert rank(idxs + (a,)) == r + (i != 0)
+            for b, j in enumerate(ids[a - first + 1 :], a + 1):
+                assert rank(idxs + (a, b)) == r + (i != 0) + (j != 0 and j != i)
+    assert groups > 0
+    m = LinearMatroid(columns, range(n))
+    assert m.bases_count() == len(list(m.bases()))
+
+
+def test_bases_count_pivots_only_above_the_last_two_levels(monkeypatch):
+    m = descendent_matrix(12)
+    n, r = len(m), m.rank()
+    assert (n, r) == (21, 7)
+    calls = 0
+    real_pivot = matroid._pivot
+
+    def counted(rows, c):
+        nonlocal calls
+        calls += 1
+        return real_pivot(rows, c)
+
+    monkeypatch.setattr(matroid, "_pivot", counted)
+    assert m.bases_count() == 102670
+    # a size-d prefix is pivoted only when its last index leaves room for the
+    # r - d indices still to come, which C(n - r + d, d) prefixes do; sizes 1
+    # to r - 2 are pivoted, since the last two levels are read off classes:
+    # 15 + 120 + 680 + 3060 + 11628 (r - 1 would add C(20, 6) = 38 760 more)
+    assert calls == sum(comb(n - r + d, d) for d in range(1, r - 1)) == 15503
