@@ -15,9 +15,9 @@ of tau(d), which is cross-checked against a divisor-sum closed form and
 the direct q-expansion.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .descendents import (
     DescendentLabel,
@@ -39,8 +39,7 @@ from .quasimodular import (
 )
 
 
-@dataclass(frozen=True)
-class LinearDecomposition:
+class LinearDecomposition(NamedTuple):
     """Exact coefficients of a target form over a descendent basis."""
 
     basis: tuple[DescendentLabel, ...]
@@ -116,8 +115,7 @@ GENERATOR_TRIPLES: dict[int, tuple[DescendentLabel, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class PolynomialDecomposition:
+class PolynomialDecomposition(NamedTuple):
     """A weight-k form written in monomials of one generator triple.
 
     ``terms`` maps exponent triples (a, b, c) of the weight-2, 4, 6
@@ -219,8 +217,7 @@ def tau_pentagonal(d: int, decomposition: LinearDecomposition) -> int:
     return int(total)
 
 
-@dataclass(frozen=True)
-class TauCheck:
+class TauCheck(NamedTuple):
     name: str
     cases: int
     violations: tuple[str, ...]
@@ -230,8 +227,7 @@ class TauCheck:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class TauReport:
+class TauReport(NamedTuple):
     max_d: int
     checks: tuple[TauCheck, ...]
 

@@ -18,7 +18,6 @@ base(k) = :func:`~descmat.quasimodular.base_order`, the order at which
   :func:`_partition_sum`, the same sum in Fractions, is the oracle of
   that kernel and of the lift below, and the character route in
   :mod:`descmat.characters` is the oracle of :func:`_partition_sum`.
-  These terms feed the coordinates below.
 * d > base(k): the quasimodular lift.  By the Bloch-Okounkov theorem the
   bracket series (q)_inf * sum_d <tau_label>_d q^d of an even-weight
   label is the weight-k quasimodular form sum_i c_i M_i over the
@@ -27,6 +26,16 @@ base(k) = :func:`~descmat.quasimodular.base_order`, the order at which
   inverse_euler * sum_i c_i M_i, series arithmetic instead of p(d)
   partitions.  Each label keeps its lifted coefficients at orders
   base(k) * 2^j, so a degree sweep costs one expansion per doubling.
+
+The coordinates themselves stay in integers until their last step.  The
+integer totals t_d = D_label * <tau_label>_d for d <= base(k), D_label
+being the label's shared denominator, go through the signed pentagonal
+sum for (q)_inf to the bracket numerators, and those go straight to the
+factored monomial solver, which divides once per coordinate by its own
+denominator times D_label.  No series, invariant memo entry or per-degree
+Fraction is made on that route; expanding :func:`bracket_series` with
+:func:`~descmat.quasimodular.expand_in_eisenstein`, or solving it with
+:func:`~descmat.linalg.solve_exact`, is its oracle.
 
 Two kinds of label skip both routes.  An odd-weight label is 0 in
 every degree: conjugation gives p_k(lam') = (-1)^(k+1) p_k(lam), because
@@ -40,13 +49,13 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
 
-from .partitions import partition_count, partitions_of
+from .partitions import partition_count, partitions_of, pentagonal_pairs
 from .qseries import QSeries, euler_function, inverse_euler
 from .quasimodular import (
     EisensteinMonomial,
+    _monomial_solver,
     base_order,
     eisenstein_monomials,
-    expand_in_eisenstein,
     monomial_series,
 )
 from .shifted import pk_constant, shifted_power_sum
@@ -92,9 +101,21 @@ def _gw_invariant(label: DescendentLabel, d: int) -> Fraction:
 
 def _integer_partition_sum(label: DescendentLabel, d: int) -> Fraction:
     """The partition sum over integers, one Fraction division per (label, d)."""
+    return Fraction(_partition_total(label, d), _label_scale(label))
+
+
+def _partition_total(label: DescendentLabel, d: int) -> int:
+    """The integer sum over partitions lam of d of prod_i N_{k_i+1} p_{k_i+1}(lam).
+
+    It is ``_label_scale(label)`` times the degree-d invariant.
+    """
     rows = [_scaled_power_sums(k + 1, d) for k in label]
-    total = sum(map(prod, zip(*rows))) if rows else partition_count(d)
-    return Fraction(total, prod(_power_sum_scale(k + 1) * factorial(k + 1) for k in label))
+    return sum(map(prod, zip(*rows))) if rows else partition_count(d)
+
+
+def _label_scale(label: DescendentLabel) -> int:
+    """D_label = prod_i N_{k_i+1} (k_i+1)!, the denominator the totals share."""
+    return prod(_power_sum_scale(k + 1) * factorial(k + 1) for k in label)
 
 
 @cache
@@ -171,7 +192,14 @@ def eisenstein_coordinates(label) -> tuple[Fraction, ...]:
 @cache
 def _eisenstein_coordinates(label: DescendentLabel) -> tuple[Fraction, ...]:
     k = weight(label)
-    return expand_in_eisenstein(_bracket_series(label, base_order(k)), k)
+    base = base_order(k)
+    totals = [_partition_total(label, d) for d in range(base + 1)]
+    # the bracket numerators (q)_inf * sum_d t_d q^d, by the signed pentagonal sum
+    bracket = [
+        sum(totals[m] if j % 2 == 0 else -totals[m] for j, m in pentagonal_pairs(n))
+        for n in range(base + 1)
+    ]
+    return _monomial_solver(k, base)(bracket, _label_scale(label))
 
 
 def to_eisenstein(label) -> dict[EisensteinMonomial, Fraction]:

@@ -8,10 +8,11 @@ the step over leading columns: :func:`int_row_rank` counts its pivots,
 and :func:`solve_exact` and :func:`factor_columns` back-substitute
 through them, the first for one target-augmented column and the second
 for identity-augmented columns that solve many targets, with
-:func:`solve_exact` as its oracle.  The subset search and the dual in
-:mod:`descmat.matroid` take the same step.  Rational rows are made
-integer by clearing denominators: no floating point and no pivot
-tolerance.
+:func:`solve_exact` as its oracle.  Back-substitution stays in integers
+too, over one running denominator, so a solution costs one Fraction per
+entry.  The subset search and the dual in :mod:`descmat.matroid` take
+the same step.  Rational rows are made integer by clearing denominators:
+no floating point and no pivot tolerance.
 """
 
 from fractions import Fraction
@@ -91,12 +92,14 @@ def int_row_rank(rows) -> int:
 
 
 def _solve(rows, ncols: int):
-    """(X, rest) for the integer rows [A | B], A having ``ncols`` columns.
+    """(X, den, rest) for the integer rows [A | B], A having ``ncols`` columns.
 
     Every column of A must pivot, else :class:`SingularSystemError`.  X
-    holds one row of fractions per unknown, back-substituted through the
-    pivot rows, and solves A·X = B whenever B is in the column span,
-    which holds exactly when every row of ``rest`` is zero.
+    holds one integer row per unknown over the one common denominator
+    den > 0, back-substituted through the pivot rows, and X/den solves
+    A·X/den = B whenever B is in the column span, which holds exactly
+    when every row of ``rest`` is zero.  den is kept the least common
+    denominator of the rows solved so far.
     """
     if len(rows) < ncols:
         raise SingularSystemError(f"{len(rows)} rows cannot pin down {ncols} unknowns")
@@ -104,16 +107,29 @@ def _solve(rows, ncols: int):
     rank = ncols - pivots.count(None)
     if rank < ncols:
         raise SingularSystemError(f"column rank {rank} < {ncols}: system is singular")
-    x: list[list[Fraction]] = [[]] * ncols
+    x: list[list[int]] = [[]] * ncols
+    den = 1
     for j in reversed(range(ncols)):
         tp, tail = pivots[j]
         later = ncols - 1 - j
-        row = [Fraction(v) for v in tail[later:]]
+        # tp·x_j = tail's B part − Σ u·x_k over the later unknowns, all over den
+        row = [v * den for v in tail[later:]]
         for u, xk in zip(tail[:later], x[j + 1 :]):
             if u:
                 row = [a - u * b for a, b in zip(row, xk)]
-        x[j] = [a / tp for a in row]
-    return x, rest
+        # x_j = row / (den·tp); reduce that, then bring every row to the
+        # lcm, which is positive whatever the sign of tp
+        row_den = den * tp
+        g = gcd(row_den, *row)
+        row_den //= g
+        new_den = lcm(den, row_den)
+        if new_den != den:
+            f = new_den // den
+            x[j + 1 :] = [[a * f for a in xk] for xk in x[j + 1 :]]
+        f = new_den // row_den
+        x[j] = [a // g * f for a in row]
+        den = new_den
+    return x, den, rest
 
 
 def solve_exact(columns, target) -> list[Fraction]:
@@ -131,56 +147,52 @@ def solve_exact(columns, target) -> list[Fraction]:
     if any(len(col) != nrows for col in columns):
         raise ValueError("columns and target must have equal length")
     rows = [scale_row_to_int([col[i] for col in columns] + [t]) for i, t in enumerate(target)]
-    x, rest = _solve(rows, ncols)
+    x, den, rest = _solve(rows, ncols)
     for i, (t,) in enumerate(rest, start=ncols):
         if t:
             raise InconsistentSystemError(
                 f"row {i} is inconsistent: target is not in the column span"
             )
-    return [xj for (xj,) in x]
+    return [Fraction(xj, den) for (xj,) in x]
 
 
-def factor_columns(columns):
-    """Eliminate fixed rational columns once; return their exact solver.
+def factor_columns(columns, scales):
+    """Eliminate fixed columns once; return their exact solver.
 
-    The returned ``solve(target)`` gives the tuple :func:`solve_exact`
-    would give for these columns, and raises the same errors, at the cost
-    of integer dot products.  Each column's denominators are cleared and
-    the integer block is eliminated with the identity appended, which
-    records the row operations as an integer matrix L.  The rows of L
-    past the pivots annihilate every column, so a target lies in the span
-    exactly when each of them annihilates it too.  The pivot rows,
-    back-substituted once, become an integer solution operator over one
-    common denominator.
+    Column j is the integer column ``columns[j]`` over ``scales[j]``.  The
+    returned ``solve(target, den=1)`` gives, as a tuple, what
+    :func:`solve_exact` would give for these columns and the rational
+    target / den, and raises the same errors, at the cost of integer dot
+    products and one Fraction per coordinate.  The integer block is
+    eliminated with the identity appended, which records the row
+    operations as an integer matrix L.  The rows of L past the pivots
+    annihilate every column, so a target lies in the span exactly when
+    each of them annihilates it too.  The pivot rows, back-substituted
+    once, become an integer solution operator over one common denominator.
     """
     ncols = len(columns)
     nrows = len(columns[0]) if columns else 0
     if any(len(col) != nrows for col in columns):
         raise ValueError("columns must have equal length")
-    dens = [lcm(*(Fraction(x).denominator for x in col)) for col in columns]
     m = [
-        [int(Fraction(col[i]) * den) for col, den in zip(columns, dens)]
-        + [int(i == r) for r in range(nrows)]
+        [col[i] for col in columns] + [int(i == r) for r in range(nrows)]
         for i in range(nrows)
     ]
-    # row j of ops maps a target to the j-th scaled column's coefficient,
-    # so column j's own unknown is dens[j] times it
-    ops, checks = _solve(m, ncols)
-    den = lcm(*(f.denominator for row in ops for f in row))
-    solution = [
-        [f.numerator * (den // f.denominator) * scale for f in row]
-        for row, scale in zip(ops, dens)
-    ]
+    # row j of ops maps a target to the integer column's coefficient, so
+    # column j's own unknown is scales[j] times it
+    ops, op_den, checks = _solve(m, ncols)
+    solution = [[x * scale for x in row] for row, scale in zip(ops, scales)]
 
-    def solve(target) -> tuple[Fraction, ...]:
+    def solve(target, den: int = 1) -> tuple[Fraction, ...]:
         if len(target) != nrows:
             raise ValueError("columns and target must have equal length")
-        ints, t_den = _over_common_denominator([Fraction(x) for x in target])
+        ints, t_den = _over_common_denominator(target)
         for i, row in enumerate(checks, start=ncols):
             if sum(map(mul, row, ints)):
                 raise InconsistentSystemError(
                     f"row {i} is inconsistent: target is not in the column span"
                 )
-        return tuple(Fraction(sum(map(mul, row, ints)), den * t_den) for row in solution)
+        den *= op_den * t_den
+        return tuple(Fraction(sum(map(mul, row, ints)), den) for row in solution)
 
     return solve

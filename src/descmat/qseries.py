@@ -33,6 +33,13 @@ def join_signed(terms) -> str:
     return text
 
 
+def convolve(a, b) -> list[int]:
+    """The product of two integer coefficient lists, cut to the shorter one."""
+    n = min(len(a), len(b))
+    rev = b[n - 1 :: -1]
+    return [sum(map(mul, a[: m + 1], rev[n - 1 - m :])) for m in range(n)]
+
+
 class QSeries:
     """A formal power series in q truncated at a fixed order."""
 
@@ -99,11 +106,8 @@ class QSeries:
             n = min(self.order, other.order)
             a, a_den = _over_common_denominator(self.coeffs[: n + 1])
             b, b_den = _over_common_denominator(other.coeffs[: n + 1])
-            b.reverse()
             den = a_den * b_den
-            return QSeries(
-                [Fraction(sum(map(mul, a[: m + 1], b[n - m :])), den) for m in range(n + 1)]
-            )
+            return QSeries([Fraction(c, den) for c in convolve(a, b)])
         if isinstance(other, (int, Fraction)):
             return QSeries([c * other for c in self.coeffs])
         return NotImplemented
@@ -198,11 +202,21 @@ def eisenstein_series(k: int, order: int) -> QSeries:
     Non-normalized convention: the constant term is -B_k/(2k), e.g.
     -1/24 for k = 2 and 1/240 for k = 4.
     """
+    nums, scale = eisenstein_numerators(k, order)
+    return QSeries([Fraction(x, scale) for x in nums])
+
+
+def eisenstein_numerators(k: int, order: int) -> tuple[list[int], int]:
+    """(N, s): s times the weight-k Eisenstein series is the integer series N.
+
+    s is the denominator of the constant term -B_k/(2k), so 24·E2, 240·E4
+    and 504·E6 start with -1, 1 and -1.
+    """
     if k < 2 or k % 2:
         raise ValueError(f"Eisenstein weight must be a positive even integer, got {k}")
-    cs = [-bernoulli(k) / (2 * k)]
-    cs += [Fraction(sigma(n, k - 1)) for n in range(1, order + 1)]
-    return QSeries(cs)
+    const = -bernoulli(k) / (2 * k)
+    scale = const.denominator
+    return [const.numerator] + [scale * sigma(n, k - 1) for n in range(1, order + 1)], scale
 
 
 @cache

@@ -4,13 +4,20 @@ The graded piece of weight k is spanned by monomials E2^a E4^b E6^c with
 2a + 4b + 6c = k.  Their order is frozen (heaviest E6 power first, then
 heaviest E4 power) because printed matrices and tables elsewhere index
 rows by it.
+
+The monomials are built in integers: 24·E2, 240·E4 and 504·E6 have
+integer coefficients, so each monomial is an integer series over the
+product of its generators' scales.  The solver factors those integer
+columns, and :func:`monomial_series` is the rational view of the same
+numerators.
 """
 
+from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
 from .linalg import InconsistentSystemError, SingularSystemError, factor_columns
-from .qseries import QSeries, eisenstein_series
+from .qseries import QSeries, convolve, eisenstein_numerators
 
 EXPANSION_MARGIN = 5
 
@@ -68,11 +75,24 @@ def eisenstein_monomials(k: int) -> tuple[EisensteinMonomial, ...]:
 @cache
 def monomial_series(mono: EisensteinMonomial, order: int) -> QSeries:
     """q-expansion of one Eisenstein monomial."""
-    series = QSeries([1], order=order)
-    for weight, exponent in ((2, mono.a), (4, mono.b), (6, mono.c)):
+    nums, scale = _monomial_numerators(mono, order)
+    return QSeries([Fraction(x, scale) for x in nums])
+
+
+def _monomial_numerators(mono: EisensteinMonomial, order: int) -> tuple[list[int], int]:
+    """(N, s), the monomial's q-expansion being the integer series N over s.
+
+    N is the product of the integer series s_w·E_w (24·E2, 240·E4 and
+    504·E6, s_w being the denominator of E_w's constant term), one factor
+    per generator power, and s the product of their scales.
+    """
+    nums, scale = [1] + [0] * order, 1
+    for weight, exponent in ((6, mono.c), (4, mono.b), (2, mono.a)):
         if exponent:
-            series = series * eisenstein_series(weight, order) ** exponent
-    return series
+            gen, s = eisenstein_numerators(weight, order)
+            for _ in range(exponent):
+                nums, scale = convolve(nums, gen), scale * s
+    return nums, scale
 
 
 def expand_in_eisenstein(series: QSeries, k: int):
@@ -96,8 +116,13 @@ def expand_in_eisenstein(series: QSeries, k: int):
 
 @cache
 def _monomial_solver(k: int, order: int):
-    """The factored weight-k monomial columns, truncated at ``order``."""
-    return factor_columns([monomial_series(m, order).coeffs for m in eisenstein_monomials(k)])
+    """The factored weight-k monomial columns, truncated at ``order``.
+
+    Its ``solve(target, den=1)`` takes integer numerators over den, as
+    :func:`~descmat.descendents.eisenstein_coordinates` hands them over.
+    """
+    nums, scales = zip(*(_monomial_numerators(m, order) for m in eisenstein_monomials(k)))
+    return factor_columns(nums, scales)
 
 
 __all__ = [

@@ -318,6 +318,11 @@ def test_expand_odd_weight_label_is_zero(capsys):
     assert code == 0 and json.loads(out) == {"order": 6, "coeffs": ["0"] * 7}
 
 
+def test_eisenstein_refuses_an_odd_weight_label(capsys):
+    code, out, err = run(capsys, "eisenstein", "--insertions", "3")
+    assert (code, out) == (1, "") and "weight must be a nonnegative even integer, got 5" in err
+
+
 SUBCOMMANDS = {
     "evaluate": ["--insertions", "2,2", "--degree", "3"],
     "expand": ["--insertions", "2,2"],
@@ -367,3 +372,12 @@ def test_a_reader_that_closes_the_pipe_early_gets_exit_one_and_no_traceback():
     assert proc.wait(timeout=60) == 1
     assert first == b"[[10], [8, 0], [7, 1], [6, 2], [6, 0, 0], [5, 3], [5, 1, 0]]\n"
     assert err == b""
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # together with ast, dis and tokenize they cost milliseconds on every command
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, descmat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")

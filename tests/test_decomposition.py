@@ -6,6 +6,10 @@ import pytest
 from golden_delta_tables import POLY_ROWS
 from descmat.decomposition import (
     GENERATOR_TRIPLES,
+    LinearDecomposition,
+    PolynomialDecomposition,
+    TauCheck,
+    TauReport,
     all_positive_decompositions,
     basis_key,
     poly_basis_expand,
@@ -224,3 +228,31 @@ def test_deep_tau_leaves_the_memo_tables_bounded():
     for key, dec in rows:
         assert tau_pentagonal(60, dec) == expected, key
     assert [memo.cache_info().currsize for memo in memos] == before
+
+
+def test_records_keep_their_fields_repr_equality_and_immutability():
+    lin = LinearDecomposition(((4,), (2, 2)), (Fraction(1, 2), Fraction(-3)), 2)
+    poly = PolynomialDecomposition(1, GENERATOR_TRIPLES[1], (((0, 3, 0), Fraction(5, 7)),))
+    check = TauCheck("nonvanishing", 3, ())
+    report = TauReport(3, (check,))
+    assert (lin.basis, lin.coefficients, lin.scale, lin.scaled_coefficients) == (
+        ((4,), (2, 2)), (Fraction(1, 2), Fraction(-3)), 2, (1, -6)
+    )
+    assert (poly.triple_type, poly.generators, poly.terms) == (
+        1, ((0,), (0, 0), (0, 0, 0)), (((0, 3, 0), Fraction(5, 7)),)
+    )
+    assert (check.name, check.cases, check.violations, check.ok) == ("nonvanishing", 3, (), True)
+    assert (report.max_d, report.checks, report.ok) == (3, (check,), True)
+    assert [repr(r) for r in (lin, poly, check, report)] == [
+        "LinearDecomposition(basis=((4,), (2, 2)), coefficients=(Fraction(1, 2), Fraction(-3, 1)), scale=2)",
+        "PolynomialDecomposition(triple_type=1, generators=((0,), (0, 0), (0, 0, 0)), "
+        "terms=(((0, 3, 0), Fraction(5, 7)),))",
+        "TauCheck(name='nonvanishing', cases=3, violations=())",
+        "TauReport(max_d=3, checks=(TauCheck(name='nonvanishing', cases=3, violations=()),))",
+    ]
+    assert check == TauCheck("nonvanishing", 3, ()) and hash(check) == hash(TauCheck("nonvanishing", 3, ()))
+    assert check != TauCheck("nonvanishing", 3, ("tau(2) = 0",))
+    assert lin != LinearDecomposition(lin.basis, lin.coefficients, 4)
+    for record, field in ((lin, "scale"), (poly, "terms"), (check, "cases"), (report, "max_d")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from descmat.linalg import (
     InconsistentSystemError,
     SingularSystemError,
+    _over_common_denominator,
     factor_columns,
     int_row_rank,
     scale_row_to_int,
@@ -198,6 +199,10 @@ def solve_outcome(solve, *args):
 def test_factored_solve_matches_solve_exact(cols_x_target):
     cols, x, target = cols_x_target
     in_span = [sum((xj * col[i] for xj, col in zip(x, cols)), Fraction(0)) for i in range(len(target))]
+    int_cols, scales = zip(*map(_over_common_denominator, cols))
     for t in (target, in_span):
-        factored = solve_outcome(lambda t: factor_columns(cols)(t), t)
+        factored = solve_outcome(lambda t: factor_columns(int_cols, scales)(t), t)
         assert factored == solve_outcome(solve_exact, cols, t)
+        # the same target handed over as integer numerators and a denominator
+        ints, den = _over_common_denominator(t)
+        assert solve_outcome(lambda: factor_columns(int_cols, scales)(ints, den)) == factored

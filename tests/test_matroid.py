@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -689,3 +690,29 @@ def test_bases_count_pivots_only_above_the_last_two_levels(monkeypatch):
     # to r - 2 are pivoted, since the last two levels are read off classes:
     # 15 + 120 + 680 + 3060 + 11628 (r - 1 would add C(20, 6) = 38 760 more)
     assert calls == sum(comb(n - r + d, d) for d in range(1, r - 1)) == 15503
+
+
+# sha256 of repr(list(m._ranks(range(13)))) on full weight 10, recorded while
+# every prefix was still pivoted
+FULL_10_ALL_SIZES_STREAM = "31ef356fc5866fa4fa729a78756f0d77be1dc8195609d0d4c3dd37679ac63b29"
+
+
+def test_childless_prefixes_take_no_pivot(monkeypatch):
+    m = descendent_matrix(10)
+    n = len(m)
+    assert (n, m.rank()) == (12, 5)
+    calls = 0
+    real_pivot = matroid._pivot
+
+    def counted(rows, c):
+        nonlocal calls
+        calls += 1
+        return real_pivot(rows, c)
+
+    monkeypatch.setattr(matroid, "_pivot", counted)
+    stream = list(m._ranks(range(n + 1)))
+    assert hashlib.sha256(repr(stream).encode()).hexdigest() == FULL_10_ALL_SIZES_STREAM
+    # prefixes of sizes 1 to n - 2 are popped; those ending at n - 1 have no
+    # child and read their rank off the parent, so only the 2^(n-1) - 2 of
+    # them inside the first n - 1 indices are pivoted (all of them took 4082)
+    assert calls == 2 ** (n - 1) - 2 == 2046

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from descmat.descendents import bracket_series
+from descmat.descendents import _partition_sum, bracket_series
 from descmat.linalg import (
     InconsistentSystemError,
     SingularSystemError,
@@ -10,8 +10,8 @@ from descmat.linalg import (
     scale_row_to_int,
     solve_exact,
 )
-from descmat.matroid import descendent_labels
-from descmat.qseries import QSeries, discriminant, eisenstein_series
+from descmat.matroid import descendent_labels, descendent_matrix
+from descmat.qseries import QSeries, discriminant, eisenstein_series, euler_function
 from descmat.quasimodular import (
     EisensteinMonomial,
     InsufficientOrderError,
@@ -119,12 +119,20 @@ def monomial_columns(k, order):
 
 
 def test_factored_solve_matches_solve_exact_on_every_label_to_weight_eighteen():
-    for k in range(4, 19, 2):
+    # the oracle: Fraction partition sums, the product with (q)_inf, and an
+    # unfactored solve over the monomials' series
+    for k in range(2, 19, 2):
         order = base_order(k)
         columns = monomial_columns(k, order)
+        oracle = {}
         for label in descendent_labels(k):
-            series = bracket_series(label, order)
-            assert expand_in_eisenstein(series, k) == tuple(solve_exact(columns, series.coeffs)), label
+            inner = QSeries([_partition_sum(label, d) for d in range(order + 1)])
+            bracket = euler_function(order) * inner
+            oracle[label] = tuple(solve_exact(columns, bracket.coeffs))
+            assert expand_in_eisenstein(bracket, k) == oracle[label], label
+        for positive in (False, True):
+            m = descendent_matrix(k, positive=positive)
+            assert m.columns == tuple(oracle[label] for label in m.labels), (k, positive)
 
 
 def test_factored_solve_matches_solve_exact_above_the_base_order():
