@@ -117,6 +117,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_expand(args) -> int:
     order = args.order
     if order is not None:
+        if order < 0:
+            raise ValueError(f"--order must be nonnegative, got {order}")
         _check_degree(order, "--order")
     label = _parse_label(args.insertions)
     if order is None:

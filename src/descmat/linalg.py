@@ -35,8 +35,8 @@ def _over_common_denominator(coeffs) -> tuple[list[int], int]:
 
 
 def scale_row_to_int(row) -> list[int]:
-    """Clear denominators of one rational row and divide out the content."""
-    ints, _ = _over_common_denominator([Fraction(x) for x in row])
+    """Clear denominators of one row of ints and Fractions and divide out the content."""
+    ints, _ = _over_common_denominator(row)
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -146,7 +146,7 @@ def solve_exact(columns, target) -> list[Fraction]:
     nrows = len(target)
     if any(len(col) != nrows for col in columns):
         raise ValueError("columns and target must have equal length")
-    rows = [scale_row_to_int([col[i] for col in columns] + [t]) for i, t in enumerate(target)]
+    rows = [scale_row_to_int([Fraction(x) for x in row]) for row in zip(*columns, target)]
     x, den, rest = _solve(rows, ncols)
     for i, (t,) in enumerate(rest, start=ncols):
         if t:

@@ -8,12 +8,12 @@ elimination step, :func:`~descmat.linalg._pivot`.  The weight-k
 descendent matroid is built from the Eisenstein coordinate columns of
 every weight-k label in the frozen ground-set order.
 
-Bases, uniformity and the Tutte polynomial come from one subset
-enumeration, a depth-first search over the ground set.  Each prefix
-carries the rows of its eliminated column matrix, cut to the columns
-after its last index, so a child's rank test is a lookup and extending
-the prefix is one pivot step.  The last two levels take no step: a
-prefix two short of the size sought sorts its later columns into
+Bases, basis counts, uniformity and the Tutte polynomial come from one
+subset enumeration, a depth-first search over the ground set.  Each
+prefix carries the rows of its eliminated column matrix, cut to the
+columns after its last index, so a child's rank test is a lookup and
+extending the prefix is one pivot step.  The last two levels take no
+step: a prefix two short of the size sought sorts its later columns into
 parallel classes, which give the rank of every single and pair after it.
 Nor does a prefix ending at the last column, which has no child: its
 column in the parent's rows gives its rank.  Before its first step the
@@ -23,9 +23,9 @@ elimination per subset; full weight 12, at 4×10⁷, takes about 0.2 s on a
 2-vCPU VM), so that every accepted or refused enumeration keeps its
 verdict.
 
-Uniformity and the Tutte polynomial are read on the smaller side: when
-2r > n they run on the dual, U(r, n)* = U(n − r, n) and T_M(x, y) =
-T_M*(y, x), whose n − r rows come from the same pivot step.
+Counts, uniformity and the Tutte polynomial read one tally of subsets by
+(size, rank) off those classes, on the smaller side: when 2r > n, on the
+dual, whose n − r rows come from the same pivot step.
 """
 
 from collections import Counter
@@ -147,12 +147,8 @@ class LinearMatroid:
         idxs = self._indices_of(subset)
         return self._subset_rank(idxs) == len(idxs)
 
-    def _enumerate(self, kernel, sizes):
-        """``kernel`` over the subsets of each size in ``sizes``.
-
-        Raises ValueError before the first step when the work exceeds the
-        cap.
-        """
+    def _check_cap(self, sizes) -> None:
+        """Raise ValueError when the subsets of each size in ``sizes`` are above the work cap."""
         n, r = len(self), self.rank()
         candidates = sum(comb(n, s) for s in sizes)
         if candidates * r**3 > ENUMERATION_CAP:
@@ -161,15 +157,50 @@ class LinearMatroid:
                 f"enumeration capped: {subsets} = {candidates} subsets times "
                 f"rank {r}³ is {candidates * r**3}, above {ENUMERATION_CAP}"
             )
-        return kernel(self._int_columns, self.nrows, sizes)
 
-    def _ranks(self, sizes):
-        return self._enumerate(_subset_ranks, sizes)
+    def _rank_counts(self, sizes):
+        """(size, rank, multiplicity) triples counting the subsets of each size in ``sizes``.
+
+        A :func:`_subset_groups` group with z nonzero and ``zeros`` zero later
+        columns, and P = Σ C(m, 2) over its parallel classes, has z singles at
+        rank + 1 and ``zeros`` at rank, and C(z, 2) − P pairs at rank + 2,
+        z·zeros + P at rank + 1 and C(zeros, 2) at rank; a count may be 0.
+        Subsets that come alone are tallied after the groups (of the largest
+        size, only the empty set comes alone).  When 2r > n the dual is
+        searched and capped: a dual subset of size s and rank ρ* is the
+        complement of a size-(n − s) subset of rank r − s + ρ*.
+        """
+        n, r = len(self), self.rank()
+        if 2 * r > n:
+            for s, rank, mult in self.dual()._rank_counts([n - s for s in sizes]):
+                yield n - s, r - s + rank, mult
+            return
+        self._check_cap(sizes)
+        wanted, alone = set(sizes), {}
+        for idxs, rank, ids in _subset_groups(self._int_columns, self.nrows, sizes):
+            size = len(idxs)
+            if ids is None:
+                alone[size, rank] = alone.get((size, rank), 0) + 1
+                continue
+            classes = Counter(ids)
+            zeros = classes.pop(0, 0)
+            z = len(ids) - zeros
+            if size + 1 in wanted:
+                yield size + 1, rank + 1, z
+                yield size + 1, rank, zeros
+            if size + 2 in wanted:
+                parallel = sum(comb(m, 2) for m in classes.values())
+                yield size + 2, rank + 2, comb(z, 2) - parallel
+                yield size + 2, rank + 1, z * zeros + parallel
+                yield size + 2, rank, comb(zeros, 2)
+        for (size, rank), mult in alone.items():
+            yield size, rank, mult
 
     def bases(self):
         """All bases, in lexicographic order of label indices."""
         r, labels = self.rank(), self.labels
-        for idxs, rank, ids in self._enumerate(_subset_groups, (r,)):
+        self._check_cap((r,))
+        for idxs, rank, ids in _subset_groups(self._int_columns, self.nrows, (r,)):
             if ids is None:  # the empty basis, when r = 0
                 yield ()
             elif rank == len(idxs):  # an independent (r − 2)-prefix, or the root when r = 1
@@ -184,31 +215,16 @@ class LinearMatroid:
 
     def bases_count(self) -> int:
         r = self.rank()
-        count = 0
-        for idxs, rank, ids in self._enumerate(_subset_groups, (r,)):
-            if ids is None:  # the empty basis, when r = 0
-                count += 1
-            elif rank == len(idxs):  # an independent (r − 2)-prefix, or the root when r = 1
-                classes = Counter(ids)
-                z = len(ids) - classes.pop(0, 0)
-                if rank == r - 1:
-                    count += z
-                else:  # pairs of nonzero columns, less the parallel ones
-                    count += comb(z, 2) - sum(comb(m, 2) for m in classes.values())
-        return count
+        self._check_cap((r,))
+        return sum(mult for _, rank, mult in self._rank_counts((r,)) if rank == r)
 
     def tutte(self) -> TuttePolynomial:
-        """Corank-nullity sum over all subsets, expanded once per (corank, nullity).
-
-        When 2r > n it is read on the dual, T_M(x, y) = T_M*(y, x), once
-        the cap has passed on this matroid.
-        """
+        """Corank-nullity sum over all subsets, expanded once per (corank, nullity)."""
         r, n = self.rank(), len(self)
-        subsets = self._ranks(range(n + 1))
-        if 2 * r > n:
-            dual = self.dual().tutte().coeffs
-            return TuttePolynomial({(j, i): c for (i, j), c in dual.items()})
-        classes = Counter((r - rank, len(idxs) - rank) for idxs, rank in subsets)
+        self._check_cap(range(n + 1))
+        classes: Counter = Counter()
+        for size, rank, mult in self._rank_counts(range(n + 1)):
+            classes[r - rank, size - rank] += mult
         acc: Counter = Counter()
         for (corank, nullity), mult in classes.items():
             for i in range(corank + 1):
@@ -246,14 +262,10 @@ class LinearMatroid:
     def is_uniform(self) -> tuple[int, int] | None:
         """(rank, size) when every rank-subset is a basis, else None.
 
-        Above half the size the check runs on the dual, which is uniform
-        exactly when this matroid is.
+        The search stops at the first group that holds a dependent subset.
         """
         r, n = self.rank(), len(self)
-        if 2 * r > n:
-            uniform = self.dual().is_uniform() is not None
-        else:
-            uniform = all(rank == r for _, rank in self._ranks((r,)))
+        uniform = all(rank == r for _, rank, mult in self._rank_counts((r,)) if mult)
         return (r, n) if uniform else None
 
 
@@ -321,28 +333,6 @@ def _parallel_classes(rows, width: int) -> list[int]:
     return ids
 
 
-def _subset_ranks(columns, nrows: int, sizes):
-    """(index tuple, rank) of every subset of ``columns`` with a size in ``sizes``.
-
-    The subsets of :func:`_subset_groups` one at a time, a group's singles
-    before its pairs: each size's come in lexicographic order, and sizes
-    may interleave.
-    """
-    wanted = set(sizes)
-    for idxs, rank, ids in _subset_groups(columns, nrows, sizes):
-        if ids is None:
-            yield idxs, rank
-            continue
-        first = idxs[-1] + 1 if idxs else 0
-        if len(idxs) + 1 in wanted:
-            for a, i in enumerate(ids, first):
-                yield idxs + (a,), rank + (i != 0)
-        if len(idxs) + 2 in wanted:
-            for a, i in enumerate(ids, first):
-                for b, j in enumerate(ids[a - first + 1 :], a + 1):
-                    yield idxs + (a, b), rank + (i != 0) + (j != 0 and j != i)
-
-
 def descendent_labels(k: int, positive: bool = False) -> tuple:
     """Weight-k ground-set labels in the frozen order.
 
@@ -394,7 +384,8 @@ def named_restriction(k: int) -> LinearMatroid:
     short weight-specific list of three-point labels; the removals are
     forced by the uniform-matroid sizes these restrictions hit (10, 14
     and 16 elements respectively).  Each has rank above half its size,
-    so :meth:`LinearMatroid.is_uniform` checks it on the dual.
+    so its basis count, uniformity and Tutte polynomial are read on the
+    dual.
     """
     try:
         drops = _NAMED_RESTRICTION_DROPS[k]

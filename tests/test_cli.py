@@ -318,6 +318,15 @@ def test_expand_odd_weight_label_is_zero(capsys):
     assert code == 0 and json.loads(out) == {"order": 6, "coeffs": ["0"] * 7}
 
 
+def test_expand_refuses_a_negative_order(capsys):
+    for argv in (
+        ["expand", "--insertions", "2,2", "--order", "-1"],
+        ["expand", "--insertions", "0", "--order", "-7", "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and "--order" in err and "negative" in err, argv
+
+
 def test_eisenstein_refuses_an_odd_weight_label(capsys):
     code, out, err = run(capsys, "eisenstein", "--insertions", "3")
     assert (code, out) == (1, "") and "weight must be a nonnegative even integer, got 5" in err

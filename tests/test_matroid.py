@@ -1,4 +1,3 @@
-import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -345,25 +344,61 @@ def test_work_above_the_cap_is_refused_before_any_subset_rank_test(
         enumerate_(m)
 
 
+@pytest.mark.parametrize(
+    "n, r, enumerate_",
+    [
+        (30, 26, LinearMatroid.bases_count),  # C(30, 4) * 26^3 = 4.8e8; the dual's 4^3, 1.8e6
+        (20, 18, LinearMatroid.tutte),  # 2^20 * 18^3 = 6.1e9; the dual's 2^3, 8.4e6
+    ],
+)
+def test_counts_and_tutte_are_capped_on_the_matroid_asked_about(monkeypatch, n, r, enumerate_):
+    # the unit columns, then n - r parallel columns of ones
+    m = LinearMatroid([[int(i == j) for i in range(r)] for j in range(r)] + [[1] * r] * (n - r), range(n))
+    assert m.rank() == r and 2 * r > n
+    # uniformity is capped on the side it searches, the dual, and passes
+    assert m.is_uniform() is None
+
+    def no_dual(self):
+        raise RuntimeError("the dual was built")
+
+    monkeypatch.setattr(LinearMatroid, "dual", no_dual)
+    with pytest.raises(ValueError, match="enumeration capped"):
+        enumerate_(m)
+
+
 def test_is_uniform_stops_at_the_first_dependent_subset(monkeypatch):
     m8 = descendent_matrix(8)
     m8.rank()
-    tested = []
-    real = matroid._subset_ranks
+    groups = []
+    real = matroid._subset_groups
 
     def recorded(*args):
-        for idxs, rank in real(*args):
-            tested.append(idxs)
-            yield idxs, rank
+        for idxs, rank, ids in real(*args):
+            groups.append(idxs)
+            yield idxs, rank, ids
 
-    monkeypatch.setattr(matroid, "_subset_ranks", recorded)
+    monkeypatch.setattr(matroid, "_subset_groups", recorded)
     assert m8.is_uniform() is None
-    # rank 4 on 7 elements, so the check runs on the rank-3 dual.  The only
-    # dependent 4-subset, {(4, 0), (2, 0, 0), (1, 1, 0), (0, 0, 0, 0)} at
-    # (1, 4, 5, 6), leaves the dual's only dependent 3-subset, its complement
-    # (0, 2, 3), the 6th of the 35 in lexicographic order
-    candidates = list(combinations(range(7), 3))
-    assert tested == candidates[: candidates.index((0, 2, 3)) + 1]
+    # rank 4 on 7 elements, so the check runs on the rank-3 dual, whose
+    # groups are its 1-prefixes.  The only dependent 4-subset, {(4, 0),
+    # (2, 0, 0), (1, 1, 0), (0, 0, 0, 0)} at (1, 4, 5, 6), leaves the dual's
+    # only dependent 3-subset, its complement (0, 2, 3), in the first group
+    assert groups == [(0,)]
+
+
+def _group_subsets(of, sizes):
+    """(idxs, rank) of every subset of ``of`` with a size in ``sizes``, expanded
+    from the uncapped :func:`matroid._subset_groups` by the single and pair rule."""
+    for idxs, rank, ids in matroid._subset_groups(of._int_columns, of.nrows, sizes):
+        if ids is None:
+            yield idxs, rank
+            continue
+        later = list(enumerate(ids, idxs[-1] + 1 if idxs else 0))
+        if len(idxs) + 1 in sizes:
+            yield from ((idxs + (a,), rank + (i != 0)) for a, i in later)
+        if len(idxs) + 2 in sizes:
+            for k, (a, i) in enumerate(later, 1):
+                yield from ((idxs + (a, b), rank + (i != 0) + (j not in (0, i))) for b, j in later[k:])
 
 
 def _seeded_restriction(seed, size=12):
@@ -407,9 +442,8 @@ def test_dual_bases_are_the_complements_of_the_bases(name):
         )
 
     def bases(of, size):
-        # the uncapped rank stream: full weight 12's dual is over the work cap
-        stream = matroid._subset_ranks(of._int_columns, of.nrows, (size,))
-        return [idxs for idxs, rank in stream if rank == size]
+        # uncapped: full weight 12's dual is over the work cap
+        return [idxs for idxs, rank in _group_subsets(of, (size,)) if rank == size]
 
     primal = bases(m, r)
     complements = [tuple(i for i in range(n) if i not in b) for b in bases(d, n - r)]
@@ -425,9 +459,8 @@ def test_tutte_is_the_dual_tutte_with_x_and_y_swapped(name):
     n, r = len(m), m.rank()
     t, dual = m.tutte(), m.dual().tutte()
     assert t == TuttePolynomial({(j, i): c for (i, j), c in dual.coeffs.items()})
-    # and the primal corank-nullity sum, from the uncapped rank stream
-    stream = matroid._subset_ranks(m._int_columns, m.nrows, range(n + 1))
-    classes = Counter((len(idxs), rank) for idxs, rank in stream)
+    # and the primal corank-nullity sum, from the uncapped groups of this side
+    classes = Counter((len(idxs), rank) for idxs, rank in _group_subsets(m, range(n + 1)))
     for x in range(n + 1):
         for y in range(n + 1):
             assert t(x, y) == sum(
@@ -483,13 +516,13 @@ def test_enumeration_takes_the_reduced_row_and_dual_routes(monkeypatch):
         lambda m: list(m.bases()),
         LinearMatroid.tutte,
         LinearMatroid.is_uniform,
-        lambda m: list(m._ranks((3, 5))),
+        lambda m: list(m._rank_counts((3, 5))),
     )
     expected = [call(m10) for call in calls]
     m10._int_columns = tuple(tuple(map(_ColumnEntry, col)) for col in m10._int_columns)
     assert [call(m10) for call in calls] == expected
 
-    # above half rank, tutte() enumerates the dual's rows only
+    # above half rank, counts, uniformity and tutte() enumerate the dual's rows only
     searched = []
     real_groups = matroid._subset_groups
 
@@ -501,9 +534,10 @@ def test_enumeration_takes_the_reduced_row_and_dual_routes(monkeypatch):
     for m in (descendent_matrix(8), named_restriction(16), descendent_matrix(14, positive=True)):
         n, r = len(m), m.rank()
         assert 2 * r > n
-        searched.clear()
-        m.tutte()
-        assert searched == [(n, n - r)]
+        for call in (LinearMatroid.tutte, LinearMatroid.bases_count, LinearMatroid.is_uniform):
+            searched.clear()
+            call(m)
+            assert searched == [(n, n - r)], call
 
 
 CAP_MATROIDS = {
@@ -521,12 +555,14 @@ def test_cap_verdicts_follow_the_primal_work_count(monkeypatch, name):
     m = CAP_MATROIDS[name]()
     n, r = len(m), m.rank()
     monkeypatch.setattr(matroid, "_subset_groups", lambda *args: iter(()))
-    for enumerate_, candidates in (
-        (LinearMatroid.bases_count, comb(n, r)),
-        (lambda m: list(m.bases()), comb(n, r)),
-        (LinearMatroid.tutte, 2**n),
+    for enumerate_, candidates, searched_rank in (
+        (LinearMatroid.bases_count, comb(n, r), r),
+        (lambda m: list(m.bases()), comb(n, r), r),
+        (LinearMatroid.tutte, 2**n, r),
+        # uniformity is searched on the dual when 2r > n, and capped there
+        (LinearMatroid.is_uniform, comb(n, r), min(r, n - r)),
     ):
-        if candidates * r**3 > matroid.ENUMERATION_CAP:
+        if candidates * searched_rank**3 > matroid.ENUMERATION_CAP:
             with pytest.raises(ValueError, match="enumeration capped"):
                 enumerate_(m)
         else:
@@ -554,27 +590,31 @@ RANK_STREAM_MATROIDS = {
 }
 
 
+def _tally(triples):
+    """Subsets per (size, rank) from (size, rank, multiplicity) triples."""
+    counts = Counter()
+    for size, rank, mult in triples:
+        counts[size, rank] += mult
+    return +counts
+
+
+def _oracle_counts(m):
+    """Subsets per (size, rank), each rank by plain fraction elimination."""
+    return Counter(
+        (len(idxs), fraction_gauss_rank([m._int_columns[i] for i in idxs]))
+        for idxs in _powerset(range(len(m)))
+    )
+
+
 @pytest.mark.parametrize("name", RANK_STREAM_MATROIDS)
 def test_rank_stream_matches_subset_rank(name):
     m = RANK_STREAM_MATROIDS[name]()
     n = len(m)
-
-    def oracle(size):
-        return [
-            (idxs, fraction_gauss_rank([m._int_columns[i] for i in idxs]))
-            for idxs in combinations(range(n), size)
-        ]
-
-    everything = list(m._ranks(range(n + 1)))
-    assert len(everything) == 2**n
-    for size in range(n + 1):
-        expected = oracle(size)
-        # each size alone, and within the stream of every size
-        assert list(m._ranks((size,))) == expected
-        assert [pair for pair in everything if len(pair[0]) == size] == expected
-    assert list(m._ranks((1, n))) == [
-        pair for pair in everything if len(pair[0]) in (1, n)
-    ]
+    oracle = _oracle_counts(m)
+    # full-8 and named-14 have 2r > n, so their counts come through the dual
+    for sizes in [range(n + 1), *((size,) for size in range(n + 1)), (1, n)]:
+        expected = Counter({key: c for key, c in oracle.items() if key[0] in sizes})
+        assert _tally(m._rank_counts(sizes)) == expected, sizes
 
 
 @settings(max_examples=100)
@@ -692,11 +732,6 @@ def test_bases_count_pivots_only_above_the_last_two_levels(monkeypatch):
     assert calls == sum(comb(n - r + d, d) for d in range(1, r - 1)) == 15503
 
 
-# sha256 of repr(list(m._ranks(range(13)))) on full weight 10, recorded while
-# every prefix was still pivoted
-FULL_10_ALL_SIZES_STREAM = "31ef356fc5866fa4fa729a78756f0d77be1dc8195609d0d4c3dd37679ac63b29"
-
-
 def test_childless_prefixes_take_no_pivot(monkeypatch):
     m = descendent_matrix(10)
     n = len(m)
@@ -710,8 +745,7 @@ def test_childless_prefixes_take_no_pivot(monkeypatch):
         return real_pivot(rows, c)
 
     monkeypatch.setattr(matroid, "_pivot", counted)
-    stream = list(m._ranks(range(n + 1)))
-    assert hashlib.sha256(repr(stream).encode()).hexdigest() == FULL_10_ALL_SIZES_STREAM
+    assert _tally(m._rank_counts(range(n + 1))) == _oracle_counts(m)
     # prefixes of sizes 1 to n - 2 are popped; those ending at n - 1 have no
     # child and read their rank off the parent, so only the 2^(n-1) - 2 of
     # them inside the first n - 1 indices are pivoted (all of them took 4082)
