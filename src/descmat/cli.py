@@ -51,7 +51,11 @@ _MAX_DEGREE = 500
 _MAX_WEIGHT_CEILING = 26
 
 
-def _check_degree(d: int, flag: str) -> None:
+def _check_degree(d: int, flag: str, least: int = 0) -> None:
+    """Refuse a degree flag below ``least`` or above the cap, naming the flag."""
+    if d < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{flag} must be {bound}, got {d}")
     if d > _MAX_DEGREE:
         raise ValueError(f"{flag} {d} above the degree cap {_MAX_DEGREE}")
 
@@ -117,8 +121,6 @@ def _cmd_evaluate(args) -> int:
 def _cmd_expand(args) -> int:
     order = args.order
     if order is not None:
-        if order < 0:
-            raise ValueError(f"--order must be nonnegative, got {order}")
         _check_degree(order, "--order")
     label = _parse_label(args.insertions)
     if order is None:
@@ -276,7 +278,7 @@ def _cmd_delta_poly(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    _check_degree(args.d, "--d")
+    _check_degree(args.d, "--d", 1)
     if args.method == "niebur":
         value = tau_niebur(args.d)
     elif args.method == "direct":
@@ -289,7 +291,7 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_tau_check(args) -> int:
-    _check_degree(args.max_d, "--max-d")
+    _check_degree(args.max_d, "--max-d", 2)
     report = tau_relation_report(args.max_d)
     lines = []
     for check in report.checks:

@@ -22,14 +22,13 @@ from typing import NamedTuple
 from .descendents import (
     DescendentLabel,
     as_label,
+    bracket_coefficient,
     bracket_series,
     eisenstein_coordinates,
-    gw_invariant,
     weight,
 )
 from .linalg import solve_exact
 from .matroid import descendent_matrix
-from .partitions import pentagonal_pairs
 from .qseries import QSeries, discriminant, sigma
 from .quasimodular import (
     base_order,
@@ -198,18 +197,15 @@ def tau_pentagonal(d: int, decomposition: LinearDecomposition) -> int:
     """tau(d) from a basis decomposition via pentagonal pairs.
 
     Sums (-1)^j a_b <tau_b>_m over all pairs 3j^2 - j + 2m = 2d and basis
-    elements b.  The result must be an integer; anything else means the
-    decomposition's coefficients are corrupt, and is raised.
+    elements b, the sum over j first: label b's bracket coefficient S_b(d),
+    shared by every decomposition, gives tau(d) = sum_b a_b S_b(d).  The
+    result must be an integer; anything else means the decomposition's
+    coefficients are corrupt, and is raised.
     """
     if d < 1:
         raise ValueError("tau is defined for d >= 1")
-    total = Fraction(0)
-    for j, m in pentagonal_pairs(d):
-        sign = 1 if j % 2 == 0 else -1
-        inner = Fraction(0)
-        for label, coeff in zip(decomposition.basis, decomposition.coefficients):
-            inner += coeff * gw_invariant(label, m)
-        total += sign * inner
+    terms = zip(decomposition.basis, decomposition.coefficients)
+    total = sum((coeff * bracket_coefficient(label, d) for label, coeff in terms), Fraction(0))
     if total.denominator != 1:
         raise ArithmeticError(
             f"tau({d}) evaluated to the non-integer {total}: corrupt coefficients"

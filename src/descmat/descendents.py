@@ -23,9 +23,11 @@ base(k) = :func:`~descmat.quasimodular.base_order`, the order at which
   label is the weight-k quasimodular form sum_i c_i M_i over the
   Eisenstein monomials M_i, with coordinates c_i solved from the first
   base(k) + 1 partition sums.  The invariant is the d-th coefficient of
-  inverse_euler * sum_i c_i M_i, series arithmetic instead of p(d)
-  partitions.  Each label keeps its lifted coefficients at orders
-  base(k) * 2^j, so a degree sweep costs one expansion per doubling.
+  sum_i c_i M_i / (q)_inf, taken in integers: the weighted integer
+  monomial numerators, over one common denominator, are convolved with
+  the partition numbers, one Fraction per coefficient and no series.
+  Each label keeps its lifted coefficients at orders base(k) * 2^j, so
+  a degree sweep costs one expansion per doubling.
 
 The coordinates themselves stay in integers until their last step.  The
 integer totals t_d = D_label * <tau_label>_d for d <= base(k), D_label
@@ -48,15 +50,17 @@ own negative.  The empty label degenerates to the partition numbers p(d).
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
+from operator import mul
 
+from .linalg import _over_common_denominator
 from .partitions import partition_count, partitions_of, pentagonal_pairs
-from .qseries import QSeries, euler_function, inverse_euler
+from .qseries import QSeries, convolve
 from .quasimodular import (
     EisensteinMonomial,
+    _monomial_columns,
     _monomial_solver,
     base_order,
     eisenstein_monomials,
-    monomial_series,
 )
 from .shifted import pk_constant, shifted_power_sum
 
@@ -93,10 +97,12 @@ def _gw_invariant(label: DescendentLabel, d: int) -> Fraction:
     base = base_order(k)
     if d <= base:
         return _integer_partition_sum(label, d)
-    order = base
-    while order < d:
-        order *= 2
-    return _lifted_series(label, order)[d]
+    return _lifted_series(label, _lift_order(base, d))[d]
+
+
+def _lift_order(base: int, d: int) -> int:
+    """The least base * 2^j that is >= d, the order a degree-d value is read at."""
+    return base << (max(d - 1, 0) // base).bit_length()
 
 
 def _integer_partition_sum(label: DescendentLabel, d: int) -> Fraction:
@@ -156,15 +162,19 @@ def _partition_sum(label: DescendentLabel, d: int) -> Fraction:
 
 
 @cache
-def _lifted_series(label: DescendentLabel, order: int) -> QSeries:
-    """sum_d <tau_label>_d q^d to ``order``, from the label's coordinates."""
-    k = weight(label)
-    coords = _eisenstein_coordinates(label)
-    form = QSeries([0], order=order)
-    for mono, coeff in zip(eisenstein_monomials(k), coords):
-        if coeff:
-            form = form + coeff * monomial_series(mono, order)
-    return inverse_euler(order) * form
+def _lifted_series(label: DescendentLabel, order: int) -> tuple[Fraction, ...]:
+    """<tau_label>_d for d = 0..order: sum_i c_i M_i / (q)_inf in integers.
+
+    M_i is the integer column N_i over s_i; with the c_i / s_i put over one
+    denominator D as w_i, the lift is (sum_i w_i N_i) * p(n) over D.
+    """
+    columns, scales = _monomial_columns(weight(label), order)
+    weights, den = _over_common_denominator(
+        [c / s for c, s in zip(_eisenstein_coordinates(label), scales)]
+    )
+    form = [sum(map(mul, weights, row)) for row in zip(*columns)]
+    counts = [partition_count(d) for d in range(order + 1)]
+    return tuple(Fraction(x, den) for x in convolve(counts, form))
 
 
 def bracket_series(label, order: int) -> QSeries:
@@ -174,8 +184,26 @@ def bracket_series(label, order: int) -> QSeries:
 
 @cache
 def _bracket_series(label: DescendentLabel, order: int) -> QSeries:
-    inner = QSeries([_gw_invariant(label, d) for d in range(order + 1)])
-    return euler_function(order) * inner
+    nums, den = _over_common_denominator([_gw_invariant(label, d) for d in range(order + 1)])
+    return QSeries([Fraction(x, den) for x in _pentagonal_sums(nums)])
+
+
+def _pentagonal_sums(values) -> list[int]:
+    """sum_j (-1)^j values[n - j(3j-1)/2] for every n: the product with (q)_inf."""
+    return [
+        sum(values[m] if j % 2 == 0 else -values[m] for j, m in pentagonal_pairs(n))
+        for n in range(len(values))
+    ]
+
+
+def bracket_coefficient(label, d: int) -> Fraction:
+    """sum_j (-1)^j <tau_label>_{d - j(3j-1)/2}, the degree-d bracket coefficient.
+
+    Read off one bracket series per label at the lift's order base(k) * 2^j.
+    """
+    lab = as_label(label)
+    k = weight(lab)
+    return _bracket_series(lab, _lift_order(base_order(k - k % 2), d))[d]
 
 
 def eisenstein_coordinates(label) -> tuple[Fraction, ...]:
@@ -194,11 +222,7 @@ def _eisenstein_coordinates(label: DescendentLabel) -> tuple[Fraction, ...]:
     k = weight(label)
     base = base_order(k)
     totals = [_partition_total(label, d) for d in range(base + 1)]
-    # the bracket numerators (q)_inf * sum_d t_d q^d, by the signed pentagonal sum
-    bracket = [
-        sum(totals[m] if j % 2 == 0 else -totals[m] for j, m in pentagonal_pairs(n))
-        for n in range(base + 1)
-    ]
+    bracket = _pentagonal_sums(totals)
     return _monomial_solver(k, base)(bracket, _label_scale(label))
 
 

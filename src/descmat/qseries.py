@@ -206,7 +206,8 @@ def eisenstein_series(k: int, order: int) -> QSeries:
     return QSeries([Fraction(x, scale) for x in nums])
 
 
-def eisenstein_numerators(k: int, order: int) -> tuple[list[int], int]:
+@cache
+def eisenstein_numerators(k: int, order: int) -> tuple[tuple[int, ...], int]:
     """(N, s): s times the weight-k Eisenstein series is the integer series N.
 
     s is the denominator of the constant term -B_k/(2k), so 24·E2, 240·E4
@@ -216,7 +217,7 @@ def eisenstein_numerators(k: int, order: int) -> tuple[list[int], int]:
         raise ValueError(f"Eisenstein weight must be a positive even integer, got {k}")
     const = -bernoulli(k) / (2 * k)
     scale = const.denominator
-    return [const.numerator] + [scale * sigma(n, k - 1) for n in range(1, order + 1)], scale
+    return (const.numerator, *(scale * sigma(n, k - 1) for n in range(1, order + 1))), scale
 
 
 @cache

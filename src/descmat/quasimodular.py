@@ -54,6 +54,7 @@ def qm_dimension(k: int) -> int:
     return sum((half - 3 * c) // 2 + 1 for c in range(half // 3 + 1))
 
 
+@cache
 def base_order(k: int) -> int:
     """Order of a weight-k solve: qm_dimension(k) pivots, EXPANSION_MARGIN checks."""
     return qm_dimension(k) + EXPANSION_MARGIN
@@ -86,13 +87,12 @@ def _monomial_numerators(mono: EisensteinMonomial, order: int) -> tuple[list[int
     504·E6, s_w being the denominator of E_w's constant term), one factor
     per generator power, and s the product of their scales.
     """
-    nums, scale = [1] + [0] * order, 1
+    nums, scale = None, 1
     for weight, exponent in ((6, mono.c), (4, mono.b), (2, mono.a)):
-        if exponent:
-            gen, s = eisenstein_numerators(weight, order)
-            for _ in range(exponent):
-                nums, scale = convolve(nums, gen), scale * s
-    return nums, scale
+        gen, s = eisenstein_numerators(weight, order)
+        for _ in range(exponent):
+            nums, scale = list(gen) if nums is None else convolve(nums, gen), scale * s
+    return nums or [1] + [0] * order, scale
 
 
 def expand_in_eisenstein(series: QSeries, k: int):
@@ -115,14 +115,19 @@ def expand_in_eisenstein(series: QSeries, k: int):
 
 
 @cache
+def _monomial_columns(k: int, order: int) -> tuple[tuple[list[int], ...], tuple[int, ...]]:
+    """(columns, scales): each weight-k monomial's (N, s) to ``order``, built once."""
+    return tuple(zip(*(_monomial_numerators(m, order) for m in eisenstein_monomials(k))))
+
+
+@cache
 def _monomial_solver(k: int, order: int):
     """The factored weight-k monomial columns, truncated at ``order``.
 
     Its ``solve(target, den=1)`` takes integer numerators over den, as
     :func:`~descmat.descendents.eisenstein_coordinates` hands them over.
     """
-    nums, scales = zip(*(_monomial_numerators(m, order) for m in eisenstein_monomials(k)))
-    return factor_columns(nums, scales)
+    return factor_columns(*_monomial_columns(k, order))
 
 
 __all__ = [

@@ -327,6 +327,28 @@ def test_expand_refuses_a_negative_order(capsys):
         assert (code, out) == (1, "") and "--order" in err and "negative" in err, argv
 
 
+def test_tau_refuses_a_degree_below_one_by_its_flag(capsys):
+    for argv in (
+        ["tau", "--d", "-1"],
+        ["tau", "--d", "0", "--basis", "2,3,4,5,6,7,8"],
+        ["tau", "--d", "-1", "--method", "niebur"],
+        ["tau", "--d", "-1", "--method", "direct", "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and "--d must be at least 1, got" in err, argv
+
+
+def test_tau_check_refuses_a_max_d_below_two_by_its_flag(capsys):
+    for bad in ("1", "-1"):
+        code, out, err = run(capsys, "tau-check", "--max-d", bad)
+        assert (code, out) == (1, "") and f"--max-d must be at least 2, got {bad}" in err
+
+
+def test_evaluate_refuses_a_negative_degree_by_its_flag(capsys):
+    code, out, err = run(capsys, "evaluate", "--insertions", "2,2", "--degree", "-1")
+    assert (code, out) == (1, "") and "--degree must be nonnegative, got -1" in err
+
+
 def test_eisenstein_refuses_an_odd_weight_label(capsys):
     code, out, err = run(capsys, "eisenstein", "--insertions", "3")
     assert (code, out) == (1, "") and "weight must be a nonnegative even integer, got 5" in err

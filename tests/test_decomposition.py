@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,10 +20,10 @@ from descmat.decomposition import (
     tau_pentagonal,
     tau_relation_report,
 )
-from descmat.descendents import bracket_series
+from descmat.descendents import bracket_series, gw_invariant
 from descmat.linalg import InconsistentSystemError, SingularSystemError
 from descmat.matroid import descendent_labels, descendent_matrix
-from descmat.partitions import _bounded_partitions
+from descmat.partitions import _bounded_partitions, pentagonal_pairs
 from descmat.qseries import QSeries, discriminant, eisenstein_series
 from descmat.quasimodular import InsufficientOrderError, base_order
 from descmat.shifted import shifted_power_sum
@@ -183,6 +184,46 @@ def test_tau_pentagonal_small_values():
 def test_tau_triangulation_at_degree_200():
     _, dec = all_positive_decompositions(12)[0]
     assert tau_pentagonal(200, dec) == tau_direct(200) == tau_niebur(200)
+
+
+def tau_pentagonal_oracle(d, decomposition):
+    """The pentagonal-pair sum with the sum over pairs outermost, term by term."""
+    total = Fraction(0)
+    for j, m in pentagonal_pairs(d):
+        sign = 1 if j % 2 == 0 else -1
+        inner = Fraction(0)
+        for label, coeff in zip(decomposition.basis, decomposition.coefficients):
+            inner += coeff * gw_invariant(label, m)
+        total += sign * inner
+    return total
+
+
+def test_per_label_sums_match_the_pair_outer_oracle_on_every_positive_row():
+    for key, dec in all_positive_decompositions(12):
+        for d in range(1, 61):
+            assert tau_pentagonal(d, dec) == tau_pentagonal_oracle(d, dec), (key, d)
+
+
+def test_per_label_sums_match_the_pair_outer_oracle_on_seeded_full_bases():
+    labels = descendent_labels(12)
+    rng = random.Random(12)
+    target = discriminant(base_order(12))
+    bases = set()
+    decs = []
+    while len(decs) < 20:
+        basis = tuple(labels[i] for i in sorted(rng.sample(range(len(labels)), 7)))
+        if basis in bases:
+            continue
+        bases.add(basis)
+        try:
+            decs.append(solve_linear(basis, target, 12))
+        except SingularSystemError:
+            continue
+    # the sample reaches beyond the positive restriction
+    assert any(lab[-1] == 0 for dec in decs for lab in dec.basis)
+    for dec in decs:
+        for d in range(1, 61):
+            assert tau_pentagonal(d, dec) == tau_pentagonal_oracle(d, dec), (dec.basis, d)
 
 
 def test_tau_pentagonal_rejects_corrupt_coefficients():

@@ -16,7 +16,7 @@ from descmat.descendents import (
 )
 from descmat.matroid import descendent_labels, descendent_matrix
 from descmat.partitions import partition_count, partitions_of
-from descmat.qseries import QSeries, eisenstein_series, euler_function
+from descmat.qseries import QSeries, eisenstein_series, euler_function, inverse_euler
 from descmat.quasimodular import (
     base_order,
     eisenstein_monomials,
@@ -162,6 +162,30 @@ def test_bracket_series_above_the_base_is_the_lifted_form():
     for mono, coeff in zip(eisenstein_monomials(12), eisenstein_coordinates(label)):
         form = form + coeff * monomial_series(mono, order)
     assert bracket_series(label, order) == form
+
+
+def test_integer_lift_matches_the_series_lift_for_weights_four_to_fourteen():
+    # the series route: 1/(q)_inf times sum_i c_i M_i in QSeries arithmetic
+    for k in range(4, 15, 2):
+        base = base_order(k)
+        for label in descendent_labels(k):
+            coords = eisenstein_coordinates(label)
+            for order in (base, 2 * base, 4 * base):
+                form = QSeries([0], order=order)
+                for mono, coeff in zip(eisenstein_monomials(k), coords):
+                    if coeff:
+                        form = form + coeff * monomial_series(mono, order)
+                lifted = descendents._lifted_series(label, order)
+                assert lifted == (inverse_euler(order) * form).coeffs, (label, order)
+
+
+def test_pentagonal_bracket_matches_the_euler_product():
+    # the bracket's signed pentagonal sums against (q)_inf times the invariants
+    for label in ((), (0,), (2, 2), (3, 1), (6, 2), (4, 3, 1), (2, 1)):
+        k = weight(label) - weight(label) % 2
+        order = 4 * base_order(k)
+        inner = QSeries([gw_invariant(label, d) for d in range(order + 1)])
+        assert bracket_series(label, order) == euler_function(order) * inner, label
 
 
 @pytest.mark.parametrize("label", [(1,), (3,), (2, 1), (0, 1), (3, 2, 2)])
