@@ -11,8 +11,8 @@ for identity-augmented columns that solve many targets, with
 :func:`solve_exact` as its oracle.  Back-substitution stays in integers
 too, over one running denominator, so a solution costs one Fraction per
 entry.  The subset search and the dual in :mod:`descmat.matroid` take
-the same step.  Rational rows are made integer by clearing denominators:
-no floating point and no pivot tolerance.
+the same step.  Rational rows become primitive integer rows by
+:func:`_primitive`: no floating point and no pivot tolerance.
 """
 
 from fractions import Fraction
@@ -34,11 +34,12 @@ def _over_common_denominator(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def scale_row_to_int(row) -> list[int]:
-    """Clear denominators of one row of ints and Fractions and divide out the content."""
-    ints, _ = _over_common_denominator(row)
+def _primitive(row) -> tuple[list[int], Fraction]:
+    """(ints, scale) with row = scale·ints, ints primitive, scale > 0; "1/3" or 0.5 go via Fraction."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    ints, den = _over_common_denominator(row)
     g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    return ([x // g for x in ints] if g > 1 else ints), Fraction(g or 1, den)
 
 
 def _pivot(rows, c):
@@ -146,7 +147,7 @@ def solve_exact(columns, target) -> list[Fraction]:
     nrows = len(target)
     if any(len(col) != nrows for col in columns):
         raise ValueError("columns and target must have equal length")
-    rows = [scale_row_to_int([Fraction(x) for x in row]) for row in zip(*columns, target)]
+    rows = [_primitive(row)[0] for row in zip(*columns, target)]
     x, den, rest = _solve(rows, ncols)
     for i, (t,) in enumerate(rest, start=ncols):
         if t:

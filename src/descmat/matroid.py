@@ -1,12 +1,15 @@
 """Linear matroids over the rationals, and the descendent matroids.
 
-A :class:`LinearMatroid` wraps a labeled rational column matrix;
-independence means exact linear independence.  Denominators are cleared
-column by column (column scaling cannot change independence), and every
-rank, the dual and the subset search below take the package's one
-elimination step, :func:`~descmat.linalg._pivot`.  The weight-k
-descendent matroid is built from the Eisenstein coordinate columns of
-every weight-k label in the frozen ground-set order.
+A :class:`LinearMatroid` holds a labeled rational column matrix once:
+each column is one positive rational scale times a primitive integer
+column (:func:`~descmat.linalg._primitive`), and the rational columns and
+the row-major matrix are views rebuilt from the two.  Independence means
+exact linear independence, which no column scale changes, so every rank,
+the dual (eliminated once, on first use) and the subset search below
+read the integer columns alone and take the package's one elimination
+step, :func:`~descmat.linalg._pivot`.  The weight-k descendent matroid
+is built from the Eisenstein coordinate columns of every weight-k label
+in the frozen ground-set order.
 
 Bases, basis counts, uniformity and the Tutte polynomial come from one
 subset enumeration, a depth-first search over the ground set.  Each
@@ -33,7 +36,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .descendents import eisenstein_coordinates
-from .linalg import _echelon, _pivot, int_row_rank, scale_row_to_int
+from .linalg import _echelon, _pivot, _primitive, int_row_rank
 from .partitions import partitions_min_two
 from .qseries import join_signed
 from .quasimodular import qm_dimension
@@ -86,30 +89,38 @@ class TuttePolynomial:
 class LinearMatroid:
     """Matroid of a labeled exact-rational column matrix.
 
-    Values are immutable after construction; subset tests never mutate
-    shared state, so instances are safe to use from several threads.
+    Column j is ``_scales[j]`` times the primitive integer column
+    ``_int_columns[j]``.  Only the rank and the dual are set after
+    construction, each once, and a race only computes the same value
+    twice, so instances are safe to use from several threads.
     """
 
     def __init__(self, columns, labels, nrows: int | None = None):
-        columns = [tuple(Fraction(x) for x in col) for col in columns]
+        split = [_primitive(col) for col in columns]
         labels = tuple(labels)
-        if len(columns) != len(labels):
+        if len(split) != len(labels):
             raise ValueError("need exactly one label per column")
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
-        heights = {len(col) for col in columns}
+        heights = {len(ints) for ints, _ in split}
         if len(heights) > 1:
             raise ValueError("columns must share a common height")
         if heights:
-            nrows = heights.pop()
+            height = heights.pop()
+            if nrows not in (None, height):
+                raise ValueError(f"row count {nrows} is not the columns' height {height}")
+            nrows = height
         elif nrows is None:
             raise ValueError("an empty matroid needs an explicit row count")
+        elif nrows < 0:
+            raise ValueError(f"row count must be nonnegative, got {nrows}")
         self.nrows = nrows
-        self.columns = tuple(columns)
         self.labels = labels
         self._index = {label: i for i, label in enumerate(labels)}
-        self._int_columns = tuple(tuple(scale_row_to_int(col)) for col in columns)
+        self._int_columns = tuple(tuple(ints) for ints, _ in split)
+        self._scales = tuple(scale for _, scale in split)
         self._rank: int | None = None
+        self._dual: LinearMatroid | None = None
 
     def __len__(self):
         return len(self.labels)
@@ -120,11 +131,15 @@ class LinearMatroid:
             f"over {self.nrows} coordinates>"
         )
 
+    @property
+    def columns(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rational columns, each its scale times its integer column."""
+        return tuple(tuple(s * x for x in col) for col, s in zip(self._int_columns, self._scales))
+
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Row-major copy of the representing matrix."""
-        return tuple(
-            tuple(col[i] for col in self.columns) for i in range(self.nrows)
-        )
+        """Row-major view of :attr:`columns`."""
+        columns = self.columns
+        return tuple(tuple(col[i] for col in columns) for i in range(self.nrows))
 
     def _indices_of(self, subset) -> list[int]:
         idxs = set()
@@ -135,17 +150,14 @@ class LinearMatroid:
                 raise ValueError(f"unknown label: {label!r}") from None
         return sorted(idxs)
 
-    def _subset_rank(self, idxs) -> int:
-        return int_row_rank([self._int_columns[i] for i in idxs])
-
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = self._subset_rank(range(len(self)))
+            self._rank = int_row_rank(self._int_columns)
         return self._rank
 
     def is_independent(self, subset) -> bool:
         idxs = self._indices_of(subset)
-        return self._subset_rank(idxs) == len(idxs)
+        return int_row_rank([self._int_columns[i] for i in idxs]) == len(idxs)
 
     def _check_cap(self, sizes) -> None:
         """Raise ValueError when the subsets of each size in ``sizes`` are above the work cap."""
@@ -235,29 +247,27 @@ class LinearMatroid:
 
     def restrict(self, subset) -> "LinearMatroid":
         """Restriction to a label subset, keeping the ground-set order."""
-        keep = set(self._indices_of(subset))
-        idxs = [i for i in range(len(self)) if i in keep]
+        idxs, columns = self._indices_of(subset), self.columns
         return LinearMatroid(
-            [self.columns[i] for i in idxs],
+            [columns[i] for i in idxs],
             [self.labels[i] for i in idxs],
             nrows=self.nrows,
         )
 
     def dual(self) -> "LinearMatroid":
-        """The dual matroid on the same labels, in the same order.
+        """The dual matroid on the same labels, in the same order, built once.
 
         Its rows are a primitive basis of the kernel of the integer column
         matrix C: the rows of [Cᵀ | Iₙ] left over once :func:`_echelon` has
         eliminated the first ``nrows`` columns.
         """
-        n = len(self)
-        rows = [[*col, *(int(i == j) for i in range(n))] for j, col in enumerate(self._int_columns)]
-        _, rows = _echelon(rows, self.nrows)
-        return LinearMatroid(
-            [tuple(a[j] for a in rows) for j in range(n)],
-            self.labels,
-            nrows=len(rows),
-        )
+        if self._dual is None:
+            n = len(self)
+            rows = [[*col, *(int(i == j) for i in range(n))] for j, col in enumerate(self._int_columns)]
+            _, rows = _echelon(rows, self.nrows)
+            columns = [tuple(a[j] for a in rows) for j in range(n)]
+            self._dual = LinearMatroid(columns, self.labels, nrows=len(rows))
+        return self._dual
 
     def is_uniform(self) -> tuple[int, int] | None:
         """(rank, size) when every rank-subset is a basis, else None.

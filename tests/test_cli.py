@@ -230,7 +230,7 @@ def test_enumeration_above_the_cap_is_refused(capsys):
 
 def test_work_above_the_cap_exits_one_before_any_rank_test(capsys, monkeypatch):
     # positive weight 16 has C(21, 10) = 352 716 candidates at rank 10
-    forbid_subset_rank_tests(monkeypatch)
+    forbid_subset_rank_tests(monkeypatch, 21)
     for action in ("count", "bases"):
         code, out, err = run(capsys, "matroid", action, "--weight", "16", "--positive")
         assert code == 1 and out == "" and "enumeration capped" in err

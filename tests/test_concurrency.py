@@ -8,7 +8,7 @@ from math import comb
 from descmat.partitions import partition_count
 from descmat.shifted import bernoulli, shifted_power_sum
 from descmat.descendents import _scaled_power_sums, eisenstein_coordinates, gw_invariant
-from descmat.matroid import descendent_labels
+from descmat.matroid import descendent_labels, named_restriction
 from test_descendents import clear_build_memos
 
 
@@ -72,3 +72,18 @@ def test_kernel_tables_survive_racing_first_builds():
     clear_build_memos()
     assert rows == [_scaled_power_sums(*key) for key in keys]
     assert coords == [eisenstein_coordinates(label) for label in labels]
+
+
+def test_the_cached_dual_survives_racing_first_builds():
+    # eight threads race the first dual() of one fresh matroid, whose basis
+    # count is read on that dual
+    m = named_restriction(16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda _: (m.dual().matrix(), m.bases_count()), range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    serial = named_restriction(16)
+    assert results == [(serial.dual().matrix(), serial.bases_count())] * 8

@@ -8,6 +8,7 @@ from descmat.descendents import (
     _integer_partition_sum,
     _partition_sum,
     as_label,
+    bracket_coefficient,
     bracket_series,
     eisenstein_coordinates,
     gw_invariant,
@@ -186,6 +187,25 @@ def test_pentagonal_bracket_matches_the_euler_product():
         order = 4 * base_order(k)
         inner = QSeries([gw_invariant(label, d) for d in range(order + 1)])
         assert bracket_series(label, order) == euler_function(order) * inner, label
+
+
+@pytest.mark.parametrize("label", [(2, 2), (6,), (4, 2), (3, 1, 0), (10,), (2, 2, 2)])
+def test_bracket_coefficient_matches_the_partition_sum_oracle(label):
+    # a degree d above base(k) is read at the least base(k)·2^j >= d, so these
+    # degrees sit on both sides of the lift's first two doubling boundaries
+    k = weight(label)
+    assert 8 <= k <= 12
+    base = base_order(k)
+    order = 2 * base + 1
+    oracle = euler_function(order) * QSeries([_partition_sum(label, d) for d in range(order + 1)])
+    for d in (base, base + 1, 2 * base, 2 * base + 1):
+        assert bracket_coefficient(label, d) == oracle[d], d
+
+
+def test_bracket_coefficient_of_the_empty_and_an_odd_weight_label():
+    assert [bracket_coefficient((), d) for d in range(14)] == [1] + [0] * 13
+    assert weight((2, 1)) % 2
+    assert [bracket_coefficient((2, 1), d) for d in range(30)] == [0] * 30
 
 
 @pytest.mark.parametrize("label", [(1,), (3,), (2, 1), (0, 1), (3, 2, 2)])

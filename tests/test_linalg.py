@@ -7,9 +7,9 @@ from descmat.linalg import (
     InconsistentSystemError,
     SingularSystemError,
     _over_common_denominator,
+    _primitive,
     factor_columns,
     int_row_rank,
-    scale_row_to_int,
     solve_exact,
 )
 
@@ -62,9 +62,13 @@ def test_rank_early_stop():
 
 
 def test_scale_row_clears_denominators_and_content():
-    assert scale_row_to_int([Fraction(1, 2), Fraction(2, 3)]) == [3, 4]
-    assert scale_row_to_int([Fraction(4), Fraction(6)]) == [2, 3]
-    assert scale_row_to_int([0, 0]) == [0, 0]
+    assert _primitive([Fraction(1, 2), Fraction(2, 3)]) == ([3, 4], Fraction(1, 6))
+    assert _primitive([Fraction(4), Fraction(6)]) == ([2, 3], 2)
+    assert _primitive([Fraction(-4, 3), 6]) == ([-2, 9], Fraction(2, 3))
+    assert _primitive([0, 0]) == ([0, 0], 1)
+    assert _primitive([]) == ([], 1)
+    # entries that are neither int nor Fraction are read through Fraction
+    assert _primitive(["1/3", 0.5, 2]) == ([2, 3, 12], Fraction(1, 6))
 
 
 def test_rational_rank_of_columns():
@@ -73,7 +77,7 @@ def test_rational_rank_of_columns():
         (Fraction(5, 6), Fraction(-1)),
         (Fraction(1, 6), Fraction(1)),
     ]
-    assert int_row_rank([scale_row_to_int(c) for c in cols]) == 2
+    assert int_row_rank([_primitive(c)[0] for c in cols]) == 2
 
 
 def test_solve_exact_simple_system():

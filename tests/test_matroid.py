@@ -262,6 +262,10 @@ def test_linear_matroid_validation():
         LinearMatroid([[1, 0], [0]], ["a", "b"])
     with pytest.raises(ValueError):
         LinearMatroid([], [])
+    with pytest.raises(ValueError, match="height 2"):
+        LinearMatroid([[1, 2]], ["a"], nrows=3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        LinearMatroid([], [], nrows=-2)
     empty = LinearMatroid([], [], nrows=3)
     assert empty.rank() == 0
     assert empty.bases_count() == 1
@@ -308,22 +312,23 @@ def test_bases_match_fraction_elimination(columns):
             assert t(x, y) == oracle
 
 
-def forbid_subset_rank_tests(monkeypatch):
-    """Let ``_subset_rank`` compute a whole ground set's rank and nothing else.
+def forbid_subset_rank_tests(monkeypatch, ground_size):
+    """Let ``int_row_rank`` rank a whole ``ground_size``-column ground set and nothing else.
 
     The subset enumeration kernel may not even start.
     """
-    real = LinearMatroid._subset_rank
+    real = matroid.int_row_rank
 
-    def whole_ground_set_only(self, idxs):
-        if len(idxs) < len(self):
-            raise RuntimeError(f"subset rank test on {tuple(idxs)} ran")
-        return real(self, idxs)
+    def whole_ground_set_only(columns):
+        columns = list(columns)
+        if len(columns) != ground_size:
+            raise RuntimeError(f"rank test on {len(columns)} of {ground_size} columns ran")
+        return real(columns)
 
     def no_enumeration(*args):
         raise RuntimeError("the subset enumeration started")
 
-    monkeypatch.setattr(LinearMatroid, "_subset_rank", whole_ground_set_only)
+    monkeypatch.setattr(matroid, "int_row_rank", whole_ground_set_only)
     monkeypatch.setattr(matroid, "_subset_groups", no_enumeration)
 
 
@@ -339,7 +344,7 @@ def test_work_above_the_cap_is_refused_before_any_subset_rank_test(
     monkeypatch, k, positive, enumerate_
 ):
     m = descendent_matrix(k, positive=positive)
-    forbid_subset_rank_tests(monkeypatch)
+    forbid_subset_rank_tests(monkeypatch, len(m))
     with pytest.raises(ValueError, match="enumeration capped"):
         enumerate_(m)
 
@@ -450,6 +455,23 @@ def test_dual_bases_are_the_complements_of_the_bases(name):
     assert sorted(complements) == primal
     assert bases(d.dual(), r) == primal
     assert m.is_uniform() == ((r, n) if len(primal) == comb(n, r) else None)
+
+
+def test_the_dual_is_eliminated_once(monkeypatch):
+    m = named_restriction(16)
+    assert 2 * m.rank() > len(m)
+    calls = []
+    real = matroid._echelon
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matroid, "_echelon", counted)
+    for call in (LinearMatroid.tutte, LinearMatroid.bases_count, LinearMatroid.is_uniform):
+        call(m)
+    assert m.dual() is m.dual()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", [name for name in DUAL_MATROIDS if name != "full-12"])

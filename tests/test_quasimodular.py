@@ -6,8 +6,8 @@ from descmat.descendents import _partition_sum, bracket_series
 from descmat.linalg import (
     InconsistentSystemError,
     SingularSystemError,
+    _primitive,
     int_row_rank,
-    scale_row_to_int,
     solve_exact,
 )
 from descmat.matroid import descendent_labels, descendent_matrix
@@ -88,12 +88,12 @@ def test_expand_then_reconstruct_is_identity_on_monomials():
 def test_leading_blocks_nonsingular_up_to_weight_eighteen():
     for k in range(2, 20, 2):
         dim = qm_dimension(k)
-        rows = [
-            scale_row_to_int(
-                [monomial_series(m, dim - 1)[i] for m in eisenstein_monomials(k)]
-            )
-            for i in range(dim)
-        ]
+        rows = []
+        for i in range(dim):
+            row = [monomial_series(m, dim - 1)[i] for m in eisenstein_monomials(k)]
+            ints, scale = _primitive(row)
+            assert scale > 0 and [scale * x for x in ints] == row
+            rows.append(ints)
         assert int_row_rank(rows) == dim
 
 
