@@ -284,7 +284,7 @@ def _cmd_tau(args) -> int:
     elif args.method == "direct":
         value = tau_direct(args.d)
     else:
-        _, dec = _solve_delta(args.basis or "1,2,3,4,5,6,7", True)
+        _, dec = _solve_delta("1,2,3,4,5,6,7" if args.basis is None else args.basis, True)
         value = tau_pentagonal(args.d, dec)
     _emit(args, [str(value)], {"d": args.d, "method": args.method, "value": value})
     return 0

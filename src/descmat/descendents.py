@@ -1,45 +1,39 @@
 """Stationary descendent series of an elliptic curve.
 
 A descendent label is the multiset of insertion orders k_i >= 0, stored
-as a descending tuple; its weight is sum(k_i + 2).  The degree-d
-invariant <tau_label>_d takes one of two routes, chosen by degree.  Let
-base(k) = :func:`~descmat.quasimodular.base_order`, the order at which
-:func:`eisenstein_coordinates` solves.
+as a descending tuple; its weight is sum(k_i + 2).  By the Bloch-Okounkov
+theorem the bracket series (q)_inf * sum_d <tau_label>_d q^d of an
+even-weight label is the weight-k quasimodular form sum_i c_i M_i over
+the Eisenstein monomials M_i, and every series of a label is read from
+that form.  Let base(k) = :func:`~descmat.quasimodular.base_order`.
 
-* d <= base(k): the partition sum
+* The coordinates c_i come from partition totals.  The degree-d
+  invariant is the partition sum
 
       sum over partitions lam of d of prod_i p_{k_i+1}(lam) / prod_i (k_i+1)!
 
-  (the character double sum collapses by row orthogonality).  It is
-  evaluated in integers: with N_j = lcm(2^j, denominator of c_j), the
-  integers N_j * p_j(lam) are tabulated once per (j, d) over all
-  partitions of d and shared by every label, so a label's sum is a sum
-  of integer products with one Fraction division per (label, d).
-  :func:`_partition_sum`, the same sum in Fractions, is the oracle of
-  that kernel and of the lift below, and the character route in
-  :mod:`descmat.characters` is the oracle of :func:`_partition_sum`.
-* d > base(k): the quasimodular lift.  By the Bloch-Okounkov theorem the
-  bracket series (q)_inf * sum_d <tau_label>_d q^d of an even-weight
-  label is the weight-k quasimodular form sum_i c_i M_i over the
-  Eisenstein monomials M_i, with coordinates c_i solved from the first
-  base(k) + 1 partition sums.  The invariant is the d-th coefficient of
-  sum_i c_i M_i / (q)_inf, taken in integers: the weighted integer
-  monomial numerators, over one common denominator, are convolved with
-  the partition numbers, one Fraction per coefficient and no series.
-  Each label keeps its lifted coefficients at orders base(k) * 2^j, so
-  a degree sweep costs one expansion per doubling.
+  (the character double sum collapses by row orthogonality), taken in
+  integers: with N_j = lcm(2^j, denominator of c_j), the integers
+  N_j * p_j(lam) are tabulated once per (j, d) and shared by every
+  label, so the total t_d = D_label * <tau_label>_d, D_label being the
+  label's shared denominator, is a sum of integer products.  The totals
+  for d <= base(k), signed-summed over the pentagonal pairs of (q)_inf,
+  are the bracket numerators the factored monomial solver divides once
+  per coordinate.  :func:`gw_invariant` at d <= base(k) is one total
+  over D_label.
+* :func:`_form` is the form to any order, in integers over one common
+  denominator.  :func:`bracket_series` is the form; :func:`bracket_coefficient`
+  reads it at the least order base(k) * 2^j >= d, one form per doubling
+  of a degree sweep; an invariant above base(k) is the form convolved
+  with the partition numbers.
 
-The coordinates themselves stay in integers until their last step.  The
-integer totals t_d = D_label * <tau_label>_d for d <= base(k), D_label
-being the label's shared denominator, go through the signed pentagonal
-sum for (q)_inf to the bracket numerators, and those go straight to the
-factored monomial solver, which divides once per coordinate by its own
-denominator times D_label.  No series, invariant memo entry or per-degree
-Fraction is made on that route; expanding :func:`bracket_series` with
-:func:`~descmat.quasimodular.expand_in_eisenstein`, or solving it with
-:func:`~descmat.linalg.solve_exact`, is its oracle.
+:func:`_partition_sum`, the same sum in Fractions, is the oracle of the
+integer kernel and of the lift, and the character route in
+:mod:`descmat.characters` is its oracle.  The pentagonal-pair sum over
+invariants, (q)_inf times sum_d <tau_label>_d q^d, is the identity the
+bracket is tested against, not a route that runs.
 
-Two kinds of label skip both routes.  An odd-weight label is 0 in
+Two kinds of label skip the form.  An odd-weight label is 0 in
 every degree: conjugation gives p_k(lam') = (-1)^(k+1) p_k(lam), because
 the constant c_k vanishes for even k, so prod_i p_{k_i+1} changes sign
 under conjugation exactly when sum_i k_i, hence the weight, is odd; the
@@ -82,11 +76,7 @@ def weight(label) -> int:
 
 def gw_invariant(label, d: int) -> Fraction:
     """Degree-d stationary descendent invariant, as an exact rational."""
-    return _gw_invariant(as_label(label), d)
-
-
-@cache
-def _gw_invariant(label: DescendentLabel, d: int) -> Fraction:
+    label = as_label(label)
     if d < 0:
         raise ValueError("degree must be nonnegative")
     k = weight(label)
@@ -161,18 +151,23 @@ def _partition_sum(label: DescendentLabel, d: int) -> Fraction:
     return total / prod(factorial(k + 1) for k in label)
 
 
-@cache
-def _lifted_series(label: DescendentLabel, order: int) -> tuple[Fraction, ...]:
-    """<tau_label>_d for d = 0..order: sum_i c_i M_i / (q)_inf in integers.
+def _form(label: DescendentLabel, order: int) -> tuple[list[int], int]:
+    """(F, D): the form sum_i c_i M_i to ``order`` is the integer series F over D.
 
     M_i is the integer column N_i over s_i; with the c_i / s_i put over one
-    denominator D as w_i, the lift is (sum_i w_i N_i) * p(n) over D.
+    denominator D as w_i, F = sum_i w_i N_i.
     """
     columns, scales = _monomial_columns(weight(label), order)
     weights, den = _over_common_denominator(
         [c / s for c, s in zip(_eisenstein_coordinates(label), scales)]
     )
-    form = [sum(map(mul, weights, row)) for row in zip(*columns)]
+    return [sum(map(mul, weights, row)) for row in zip(*columns)], den
+
+
+@cache
+def _lifted_series(label: DescendentLabel, order: int) -> tuple[Fraction, ...]:
+    """<tau_label>_d for d = 0..order: the form over (q)_inf, F * p(n) over D."""
+    form, den = _form(label, order)
     counts = [partition_count(d) for d in range(order + 1)]
     return tuple(Fraction(x, den) for x in convolve(counts, form))
 
@@ -184,23 +179,22 @@ def bracket_series(label, order: int) -> QSeries:
 
 @cache
 def _bracket_series(label: DescendentLabel, order: int) -> QSeries:
-    nums, den = _over_common_denominator([_gw_invariant(label, d) for d in range(order + 1)])
-    return QSeries([Fraction(x, den) for x in _pentagonal_sums(nums)])
-
-
-def _pentagonal_sums(values) -> list[int]:
-    """sum_j (-1)^j values[n - j(3j-1)/2] for every n: the product with (q)_inf."""
-    return [
-        sum(values[m] if j % 2 == 0 else -values[m] for j, m in pentagonal_pairs(n))
-        for n in range(len(values))
-    ]
+    """The form F over D; 0 for an odd weight and 1 for the empty label."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if weight(label) % 2 or not label:
+        return QSeries([int(not label)], order=order)
+    form, den = _form(label, order)
+    return QSeries([Fraction(x, den) for x in form])
 
 
 def bracket_coefficient(label, d: int) -> Fraction:
     """sum_j (-1)^j <tau_label>_{d - j(3j-1)/2}, the degree-d bracket coefficient.
 
-    Read off one bracket series per label at the lift's order base(k) * 2^j.
+    Read off the label's form at the least order base(k) * 2^j >= d.
     """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
     lab = as_label(label)
     k = weight(lab)
     return _bracket_series(lab, _lift_order(base_order(k - k % 2), d))[d]
@@ -222,7 +216,10 @@ def _eisenstein_coordinates(label: DescendentLabel) -> tuple[Fraction, ...]:
     k = weight(label)
     base = base_order(k)
     totals = [_partition_total(label, d) for d in range(base + 1)]
-    bracket = _pentagonal_sums(totals)
+    bracket = [
+        sum(totals[m] if j % 2 == 0 else -totals[m] for j, m in pentagonal_pairs(n))
+        for n in range(base + 1)
+    ]
     return _monomial_solver(k, base)(bracket, _label_scale(label))
 
 

@@ -247,9 +247,9 @@ class LinearMatroid:
 
     def restrict(self, subset) -> "LinearMatroid":
         """Restriction to a label subset, keeping the ground-set order."""
-        idxs, columns = self._indices_of(subset), self.columns
+        idxs = self._indices_of(subset)
         return LinearMatroid(
-            [columns[i] for i in idxs],
+            [[self._scales[i] * x for x in self._int_columns[i]] for i in idxs],
             [self.labels[i] for i in idxs],
             nrows=self.nrows,
         )

@@ -78,7 +78,7 @@ class QSeries:
     def truncate(self, order: int) -> "QSeries":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return QSeries(self.coeffs[: order + 1])
+        return QSeries(self.coeffs, order=order)
 
     def qshift(self) -> "QSeries":
         """Multiply by q, keeping the truncation order (top term drops)."""

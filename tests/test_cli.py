@@ -163,6 +163,8 @@ def test_domain_errors_exit_one(capsys):
     assert json.loads(err)["error"]["type"] == "ValueError"
     code, out, err = run(capsys, "tau", "--d", "5", "--basis", "1,1,2,3,4,5,6")
     assert code == 1 and out == "" and "basis indices must be distinct" in err
+    code, out, err = run(capsys, "tau", "--d", "5", "--basis", "")
+    assert code == 1 and out == "" and "needs 7 elements, got 0" in err
 
 
 def test_usage_errors_exit_two(capsys):

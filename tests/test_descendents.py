@@ -15,6 +15,7 @@ from descmat.descendents import (
     to_eisenstein,
     weight,
 )
+from descmat.decomposition import all_positive_decompositions, tau_niebur, tau_pentagonal
 from descmat.matroid import descendent_labels, descendent_matrix
 from descmat.partitions import partition_count, partitions_of
 from descmat.qseries import QSeries, eisenstein_series, euler_function, inverse_euler
@@ -189,16 +190,16 @@ def test_pentagonal_bracket_matches_the_euler_product():
         assert bracket_series(label, order) == euler_function(order) * inner, label
 
 
-@pytest.mark.parametrize("label", [(2, 2), (6,), (4, 2), (3, 1, 0), (10,), (2, 2, 2)])
+@pytest.mark.parametrize("label", [(2, 2), (6,), (4, 2), (3, 1, 0), (10,), (2, 2, 2), (6, 4)])
 def test_bracket_coefficient_matches_the_partition_sum_oracle(label):
     # a degree d above base(k) is read at the least base(k)·2^j >= d, so these
     # degrees sit on both sides of the lift's first two doubling boundaries
     k = weight(label)
-    assert 8 <= k <= 12
+    assert 8 <= k <= 14
     base = base_order(k)
     order = 2 * base + 1
     oracle = euler_function(order) * QSeries([_partition_sum(label, d) for d in range(order + 1)])
-    for d in (base, base + 1, 2 * base, 2 * base + 1):
+    for d in (0, 1, base, base + 1, 2 * base, 2 * base + 1):
         assert bracket_coefficient(label, d) == oracle[d], d
 
 
@@ -206,6 +207,14 @@ def test_bracket_coefficient_of_the_empty_and_an_odd_weight_label():
     assert [bracket_coefficient((), d) for d in range(14)] == [1] + [0] * 13
     assert weight((2, 1)) % 2
     assert [bracket_coefficient((2, 1), d) for d in range(30)] == [0] * 30
+    # a negative order or degree is refused for every kind of label
+    for label in ((), (2, 1), (2, 2), (0,)):
+        with pytest.raises(ValueError):
+            bracket_series(label, -1)
+        with pytest.raises(ValueError):
+            bracket_coefficient(label, -1)
+        with pytest.raises(ValueError):
+            gw_invariant(label, -1)
 
 
 @pytest.mark.parametrize("label", [(1,), (3,), (2, 1), (0, 1), (3, 2, 2)])
@@ -237,20 +246,44 @@ def test_integer_kernel_matches_the_fraction_partition_sum():
                 assert _integer_partition_sum(label, d) == _partition_sum(label, d), (label, d)
 
 
-def test_cold_matrix_build_takes_the_integer_routes(monkeypatch):
-    def forbidden(name):
-        def fail(*args, **kwargs):
-            raise RuntimeError(f"{name} ran")
+def forbidden(name):
+    def fail(*args, **kwargs):
+        raise RuntimeError(f"{name} ran")
 
-        return fail
+    return fail
 
-    clear_build_memos()
+
+def forbid_everywhere(monkeypatch, names):
+    """Make every descmat module's binding of each name raise when called."""
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] != "descmat":
             continue
-        for name in ("_partition_sum", "shifted_power_sum", "solve_exact", "_bracket_series", "_gw_invariant"):
+        for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden(name))
+
+
+def test_cold_matrix_build_takes_the_integer_routes(monkeypatch):
+    clear_build_memos()
+    forbid_everywhere(
+        monkeypatch,
+        ("_partition_sum", "shifted_power_sum", "solve_exact", "_bracket_series", "gw_invariant"),
+    )
     # coordinates run from integer partition totals to one Fraction each: no series
     monkeypatch.setattr(QSeries, "__init__", forbidden("QSeries construction"))
     assert descendent_matrix(16).rank() == qm_dimension(16)
+
+
+def test_bracket_series_and_tau_read_the_form_alone(monkeypatch):
+    rows = all_positive_decompositions(12)
+    clear_build_memos()
+    forbid_everywhere(monkeypatch, ("_lifted_series", "_integer_partition_sum", "gw_invariant"))
+    for d in range(25, 33):
+        expected = tau_niebur(d)
+        for key, dec in rows:
+            assert tau_pentagonal(d, dec) == expected, (key, d)
+    # weight 12's columns at base(12) = 12 for the coordinates, and at 48 for degrees 25..32
+    assert quasimodular._monomial_columns.cache_info().currsize == 2
+    for label in ((), (2, 1), (2, 2), (6, 4), (4, 4, 2)):
+        k = weight(label) - weight(label) % 2
+        bracket_series(label, 3 * base_order(k))

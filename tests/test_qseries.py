@@ -157,3 +157,6 @@ def test_coefficient_access_guards():
         series[2]
     with pytest.raises(ValueError):
         series.truncate(5)
+    for order in (-1, -2):
+        with pytest.raises(ValueError):
+            QSeries([1, 2, 3, 4]).truncate(order)
