@@ -8,39 +8,16 @@ usage error.
 """
 
 import argparse
-import json
 import os
 import sys
 
 from . import __version__
-from .decomposition import (
-    GENERATOR_TRIPLES,
-    all_positive_decompositions,
-    basis_key,
-    poly_basis_expand,
-    solve_linear,
-    tau_direct,
-    tau_niebur,
-    tau_pentagonal,
-    tau_relation_report,
-)
-from .descendents import (
-    as_label,
-    bracket_series,
-    to_eisenstein,
-    gw_invariant,
-    weight,
-)
-from .matroid import (
-    DEFAULT_MAX_WEIGHT,
-    check_weight,
-    descendent_labels,
-    descendent_matrix,
-    named_restriction,
-)
-from .qseries import discriminant, fraction_str
-from .quasimodular import base_order, eisenstein_monomials, qm_dimension
 
+# Each command imports what it runs, so that parsing the command line,
+# help and usage errors load no computational module.  The parser's two
+# values from those modules are written out; the tests pin each to its owner.
+_DEFAULT_MAX_WEIGHT = 18  # matroid.DEFAULT_MAX_WEIGHT
+_TRIPLE_TYPES = [1, 2, 3, 4, 5, 6, 7, 8]  # sorted(decomposition.GENERATOR_TRIPLES)
 
 # `tau --d`, `evaluate --degree`, `expand --order` and `tau-check --max-d`
 # cost grows at least quadratically with the degree; at 500 the slowest
@@ -77,15 +54,19 @@ def _parse_label(text: str) -> tuple[int, ...]:
     (k + 6)²/48, so the cost climbs steeply with the weight; at the matroid
     weight cap the slowest command still takes only seconds.
     """
+    from .descendents import as_label, weight
+
     label = as_label(_parse_int_list(text))
     k = weight(label)
-    if k > DEFAULT_MAX_WEIGHT:
-        raise ValueError(f"label weight {k} above the weight cap {DEFAULT_MAX_WEIGHT}")
+    if k > _DEFAULT_MAX_WEIGHT:
+        raise ValueError(f"label weight {k} above the weight cap {_DEFAULT_MAX_WEIGHT}")
     return label
 
 
 def _emit(args, text_lines, payload):
     if args.format == "json":
+        import json
+
         print(json.dumps(payload))
     else:
         for line in text_lines:
@@ -94,6 +75,8 @@ def _emit(args, text_lines, payload):
 
 def _fail(args, exc) -> int:
     if args is not None and getattr(args, "format", "text") == "json":
+        import json
+
         message = json.dumps(
             {"error": {"type": type(exc).__name__, "message": str(exc)}}
         )
@@ -107,6 +90,9 @@ def _fail(args, exc) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .descendents import gw_invariant
+    from .qseries import fraction_str
+
     _check_degree(args.degree, "--degree")
     label = _parse_label(args.insertions)
     value = gw_invariant(label, args.degree)
@@ -119,6 +105,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from .descendents import bracket_series, weight
+    from .quasimodular import base_order
+
     order = args.order
     if order is not None:
         _check_degree(order, "--order")
@@ -134,6 +123,9 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_eisenstein(args) -> int:
+    from .descendents import to_eisenstein
+    from .qseries import fraction_str
+
     label = _parse_label(args.insertions)
     expansion = to_eisenstein(label)
     body = ", ".join(
@@ -149,6 +141,8 @@ def _cmd_eisenstein(args) -> int:
 
 
 def _format_matrix(rows) -> list[str]:
+    from .qseries import fraction_str
+
     cells = [[fraction_str(x) for x in row] for row in rows]
     widths = [max(len(cells[i][j]) for i in range(len(cells))) for j in range(len(cells[0]))]
     return [
@@ -162,6 +156,10 @@ def _label_list_str(labels) -> str:
 
 
 def _cmd_matroid(args) -> int:
+    from .matroid import check_weight, descendent_labels, descendent_matrix
+    from .qseries import fraction_str
+    from .quasimodular import eisenstein_monomials
+
     k = args.weight
     check_weight(k, args.max_weight)
     if args.action == "groundset":
@@ -186,6 +184,8 @@ def _cmd_matroid(args) -> int:
         _emit(args, [str(count)], {"weight": k, "positive": args.positive, "count": count})
     elif args.action == "bases":
         if args.format == "json":
+            import json
+
             print(json.dumps([[list(lab) for lab in basis] for basis in m.bases()]))
         else:
             for basis in m.bases():
@@ -202,6 +202,8 @@ def _cmd_matroid(args) -> int:
 
 
 def _decomposition_payload(key, dec) -> dict:
+    from .qseries import fraction_str
+
     return {
         "key": key,
         "labels": [list(lab) for lab in dec.basis],
@@ -212,6 +214,8 @@ def _decomposition_payload(key, dec) -> dict:
 
 
 def _decomposition_lines(key, dec) -> list[str]:
+    from .qseries import fraction_str
+
     lines = [f"{key} scale {dec.scale}"]
     for lab, coeff in zip(dec.basis, dec.coefficients):
         lines.append(f"  [{', '.join(str(x) for x in lab)}]: {fraction_str(coeff)}")
@@ -220,6 +224,11 @@ def _decomposition_lines(key, dec) -> list[str]:
 
 def _solve_delta(basis: str, positive: bool):
     """The parsed 1-based ``basis`` indices and Δ over those ground-set labels."""
+    from .decomposition import solve_linear
+    from .matroid import descendent_labels
+    from .qseries import discriminant
+    from .quasimodular import base_order
+
     indices = _parse_int_list(basis)
     ground = descendent_labels(12, positive=positive)
     if len(set(indices)) != len(indices):
@@ -233,6 +242,8 @@ def _solve_delta(basis: str, positive: bool):
 
 
 def _cmd_delta(args) -> int:
+    from .decomposition import basis_key
+
     if args.weight != 12:
         raise ValueError("the discriminant form has weight 12; use --weight 12")
     indices, dec = _solve_delta(args.basis, args.positive)
@@ -242,6 +253,8 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_delta_all(args) -> int:
+    from .decomposition import all_positive_decompositions
+
     rows = all_positive_decompositions()
     payload = [_decomposition_payload(key, dec) for key, dec in rows]
     lines = [
@@ -254,6 +267,10 @@ def _cmd_delta_all(args) -> int:
 
 
 def _cmd_delta_poly(args) -> int:
+    from .decomposition import poly_basis_expand
+    from .qseries import discriminant, fraction_str
+    from .quasimodular import base_order
+
     pd = poly_basis_expand(args.type, discriminant(base_order(12)), 12)
     factors = pd.factor_form()
     body = ", ".join(
@@ -278,6 +295,8 @@ def _cmd_delta_poly(args) -> int:
 
 
 def _cmd_tau(args) -> int:
+    from .decomposition import tau_direct, tau_niebur, tau_pentagonal
+
     _check_degree(args.d, "--d", 1)
     if args.method == "niebur":
         value = tau_niebur(args.d)
@@ -291,6 +310,8 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_tau_check(args) -> int:
+    from .decomposition import tau_relation_report
+
     _check_degree(args.max_d, "--max-d", 2)
     report = tau_relation_report(args.max_d)
     lines = []
@@ -316,6 +337,9 @@ def _cmd_tau_check(args) -> int:
 
 
 def _cmd_conjecture_check(args) -> int:
+    from .matroid import descendent_matrix, named_restriction
+    from .quasimodular import qm_dimension
+
     if args.max_weight < 4:
         raise ValueError(
             f"conjecture-check starts at weight 4; got --max-weight {args.max_weight}"
@@ -401,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--positive", action="store_true", help="restrict to positive insertions")
     p.add_argument(
-        "--max-weight", type=int, default=DEFAULT_MAX_WEIGHT, help="raise the weight cap"
+        "--max-weight", type=int, default=_DEFAULT_MAX_WEIGHT, help="raise the weight cap"
     )
     p.set_defaults(func=_cmd_matroid)
 
@@ -421,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "delta-poly", parents=[common], help="discriminant in one generator-triple basis"
     )
-    p.add_argument("--type", type=int, required=True, choices=sorted(GENERATOR_TRIPLES))
+    p.add_argument("--type", type=int, required=True, choices=_TRIPLE_TYPES)
     p.set_defaults(func=_cmd_delta_poly)
 
     p = sub.add_parser("tau", parents=[common], help="a tau value by one of three routes")
@@ -441,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, ignored],
         help="rank-vs-dimension sweep and the curated uniform restrictions",
     )
-    p.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT)
+    p.add_argument("--max-weight", type=int, default=_DEFAULT_MAX_WEIGHT)
     p.set_defaults(func=_cmd_conjecture_check)
 
     return parser

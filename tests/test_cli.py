@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from descmat import __version__, characters, cli, descendents, partitions
+from descmat import __version__, characters, cli, decomposition, descendents, matroid, partitions
 from descmat.cli import main
 from descmat.qseries import QSeries
+from test_descendents import forbid_everywhere
 from test_matroid import forbid_subset_rank_tests
 
 
@@ -239,19 +240,20 @@ def test_work_above_the_cap_exits_one_before_any_rank_test(capsys, monkeypatch):
 
 
 def test_degree_above_the_cap_exits_one_before_any_work(capsys, monkeypatch):
-    def no_work(*args):
-        raise RuntimeError("work started")
-
-    for name in (
-        "gw_invariant",
-        "bracket_series",
-        "tau_pentagonal",
-        "tau_niebur",
-        "tau_direct",
-        "tau_relation_report",
-        "_solve_delta",
-    ):
-        monkeypatch.setattr(cli, name, no_work)
+    # each command imports its handlers when it runs, so they are
+    # forbidden in the modules that own them
+    forbid_everywhere(
+        monkeypatch,
+        (
+            "gw_invariant",
+            "bracket_series",
+            "tau_pentagonal",
+            "tau_niebur",
+            "tau_direct",
+            "tau_relation_report",
+            "_solve_delta",
+        ),
+    )
     too_high = str(cli._MAX_DEGREE + 1)
     for argv in (
         ["evaluate", "--insertions", "2,2", "--degree", too_high],
@@ -389,15 +391,24 @@ def test_order_and_cache_dir_belong_to_their_commands(tmp_path, capsys):
             assert flag in capsys.readouterr().err, argv
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def fresh_python(code, *argv):
+    """Run ``code`` with ``argv`` in a fresh interpreter that imports descmat from src."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=ENV, timeout=60
+    )
+
+
 def test_a_reader_that_closes_the_pipe_early_gets_exit_one_and_no_traceback():
     # 102 670 lines overflow any pipe buffer, so the writer meets the closed pipe
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "descmat.cli", "matroid", "bases", "--weight", "12"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=ENV,
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -409,8 +420,76 @@ def test_a_reader_that_closes_the_pipe_early_gets_exit_one_and_no_traceback():
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # together with ast, dis and tokenize they cost milliseconds on every command
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = "import sys, descmat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    proc = fresh_python(probe)
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+# prints every loaded descmat module, and json if it is loaded
+PRINT_LOADED = """
+print(*sorted(m for m in sys.modules if m == "json" or m.split(".")[0] == "descmat"))
+"""
+# runs ``main`` on the probe's argv with its output discarded and prints the exit code
+RUN_MAIN = """
+import contextlib, io, sys
+import descmat.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = descmat.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, end=" ")
+"""
+PARSER_ONLY = ["descmat", "descmat.cli"]
+
+
+def loaded_by(code, *argv):
+    proc = fresh_python(code + PRINT_LOADED, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_by("import sys, descmat") == ["descmat"]
+
+
+def test_importing_the_cli_loads_no_computational_module_nor_json():
+    assert loaded_by("import sys, descmat.cli") == PARSER_ONLY
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--version"], "0"),
+        (["--help"], "0"),
+        (["tau", "--help"], "0"),
+        (["delta-poly", "--type", "9"], "2"),
+        (["evaluate", "--insertions", "2,2"], "2"),
+        (["no-such-command"], "2"),
+    ],
+)
+def test_help_version_and_usage_errors_load_no_computational_module(argv, code):
+    assert loaded_by(RUN_MAIN, *argv) == [code, *PARSER_ONLY]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_command_loads_only_what_it_runs(command):
+    code, *loaded = loaded_by(RUN_MAIN, command, *SUBCOMMANDS[command])
+    assert code == "0"
+    # characters is the tests' oracle, and only --format json needs json
+    assert not {"descmat.characters", "json"} & set(loaded)
+    if command in ("evaluate", "expand", "eisenstein"):
+        assert "descmat.descendents" in loaded
+        assert not {"descmat.matroid", "descmat.decomposition"} & set(loaded)
+
+
+def test_json_output_loads_json():
+    # the probe sees json where it is used, so the tests above are not vacuous
+    argv = ["evaluate", "--insertions", "2,2", "--degree", "3", "--format", "json"]
+    code, *loaded = loaded_by(RUN_MAIN, *argv)
+    assert code == "0" and "json" in loaded
+
+
+def test_the_parser_values_match_their_owners():
+    assert cli._DEFAULT_MAX_WEIGHT == matroid.DEFAULT_MAX_WEIGHT
+    assert cli._TRIPLE_TYPES == sorted(decomposition.GENERATOR_TRIPLES)

@@ -3,6 +3,9 @@
 Each row is a README- or benchmark-shaped command, its exit code and the
 SHA-256 of its stdout.  Every command runs in-process through
 ``cli.main``; usage errors exit 2 through argparse with empty stdout.
+The help rows also hash stderr and run at a fixed terminal width, so
+that every default, choice and help string of the parser stays
+byte-identical.
 A row whose output changes on purpose gets new recorded values, and the
 change is logged in CHANGES.md.
 """
@@ -178,3 +181,61 @@ def test_transcript(capsys, command, code, digest):
         got = exc.code
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
+
+
+HELP_TRANSCRIPTS = [
+    ("--help", 0,
+     "b456182446fd6282d3fc7d6c36d3cfa7b4e82b0cb5ba8a4bc0af98e367818a14",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("evaluate --help", 0,
+     "a93ebca262d41eb8aa77de33a6de2481ec33001c4cc34e7c63c7076f0bd0b0e3",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("expand --help", 0,
+     "b31b6c707f59fbb0f2dad01daa223b73f7220347a91709f15c6ea4eb42be8c47",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("eisenstein --help", 0,
+     "073c3bb4890d7e0913fbeca5649a3deb95ff70d0f55d137a95898344fd78acd5",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("matroid --help", 0,
+     "1590ab422124643e23f6f192f4b513813f91958716265a9bedb3dd93fcfe25bb",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("delta --help", 0,
+     "3e944fac17a47e732e375fa660c7315dd2da6bb7b6a78415469e99f7f6f894e3",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("delta-all --help", 0,
+     "8765c0a73c854c298418a687c9450f5c3e1ca4ff1929394cb60bb2caee69e6a0",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("delta-poly --help", 0,
+     "9161c6dddd2f2319ea21f20bec4650f77c344153c15b91dfec9af2c992e853a6",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("tau --help", 0,
+     "22274e13b3b9ef534512df72ee3d25c553e2ab919507417c9b66e2c974daa853",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("tau-check --help", 0,
+     "75349234406086b7dcf600df0010aff2a59323216361aea27f4a126449c38992",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("conjecture-check --help", 0,
+     "9e6245fe2e31be0066a81e9da057a3fac1244ff45fdbffa912bf40c470d37249",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("delta-poly --type 9", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "0a5749310a31a0351a85300e5a48ff2bd117eda18cc7453db8b6dae8a327e4b7"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, code, out_digest, err_digest",
+    HELP_TRANSCRIPTS,
+    ids=[row[0] for row in HELP_TRANSCRIPTS],
+)
+def test_help_transcript(capsys, monkeypatch, command, code, out_digest, err_digest):
+    # argparse wraps help to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as excinfo:
+        main(shlex.split(command))
+    captured = capsys.readouterr()
+    assert (
+        excinfo.value.code,
+        hashlib.sha256(captured.out.encode("utf-8")).hexdigest(),
+        hashlib.sha256(captured.err.encode("utf-8")).hexdigest(),
+    ) == (code, out_digest, err_digest)

@@ -9,6 +9,7 @@ from descmat.partitions import partition_count
 from descmat.shifted import bernoulli, shifted_power_sum
 from descmat.descendents import _scaled_power_sums, eisenstein_coordinates, gw_invariant
 from descmat.matroid import descendent_labels, named_restriction
+from test_cli import fresh_python
 from test_descendents import clear_build_memos
 
 
@@ -87,3 +88,37 @@ def test_the_cached_dual_survives_racing_first_builds():
         sys.setswitchinterval(interval)
     serial = named_restriction(16)
     assert results == [(serial.dual().matrix(), serial.bases_count())] * 8
+
+
+def test_racing_first_reads_of_the_lazy_namespace_agree():
+    # in a fresh interpreter eight threads read every exported name at
+    # once, each starting at a different name, so they race every first
+    # import of a submodule; each must get the object its submodule holds
+    probe = """
+import sys, threading
+import descmat
+names = sorted(descmat.__all__)
+barrier = threading.Barrier(8)
+seen = [None] * 8
+
+def read(i):
+    order = names[i * 7:] + names[:i * 7]
+    barrier.wait()
+    seen[i] = {name: getattr(descmat, name) for name in order}
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+def held(name):
+    module = descmat._MODULE_OF.get(name)
+    if module is None:
+        return sys.modules[f"descmat.{name}"]
+    return getattr(sys.modules[f"descmat.{module}"], name)
+
+print(len(names), all(s is not None and all(s[n] is held(n) for n in names) for s in seen))
+"""
+    proc = fresh_python(probe)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "58 True\n")
