@@ -21,11 +21,12 @@ that form.  Let base(k) = :func:`~descmat.quasimodular.base_order`.
   are the bracket numerators the factored monomial solver divides once
   per coordinate.  :func:`gw_invariant` at d <= base(k) is one total
   over D_label.
-* :func:`_form` is the form to any order, in integers over one common
-  denominator.  :func:`bracket_series` is the form; :func:`bracket_coefficient`
-  reads it at the least order base(k) * 2^j >= d, one form per doubling
-  of a degree sweep; an invariant above base(k) is the form convolved
-  with the partition numbers.
+* :func:`bracket_series` is the form to any order, a memoized
+  :class:`~descmat.qseries.QSeries` of integer numerators F over one
+  denominator D.  :func:`bracket_coefficient` reads it at the least order
+  base(k) * 2^j >= d, one form per doubling of a degree sweep, and so
+  does an invariant above base(k): the form divided by (q)_inf, that is
+  one integer dot product sum_m F_m p(d - m) over D.
 
 :func:`_partition_sum`, the same sum in Fractions, is the oracle of the
 integer kernel and of the lift, and the character route in
@@ -48,7 +49,7 @@ from operator import mul
 
 from .linalg import _over_common_denominator
 from .partitions import partition_count, partitions_of, pentagonal_pairs
-from .qseries import QSeries, convolve
+from .qseries import QSeries
 from .quasimodular import (
     EisensteinMonomial,
     _monomial_columns,
@@ -87,7 +88,10 @@ def gw_invariant(label, d: int) -> Fraction:
     base = base_order(k)
     if d <= base:
         return _integer_partition_sum(label, d)
-    return _lifted_series(label, _lift_order(base, d))[d]
+    # the form F over D, divided by (q)_inf: sum_m F_m p(d - m) over D
+    form = _bracket_series(label, _lift_order(base, d))
+    counts = map(partition_count, range(d, -1, -1))
+    return Fraction(sum(map(mul, form.nums, counts)), form.den)
 
 
 def _lift_order(base: int, d: int) -> int:
@@ -151,27 +155,6 @@ def _partition_sum(label: DescendentLabel, d: int) -> Fraction:
     return total / prod(factorial(k + 1) for k in label)
 
 
-def _form(label: DescendentLabel, order: int) -> tuple[list[int], int]:
-    """(F, D): the form sum_i c_i M_i to ``order`` is the integer series F over D.
-
-    M_i is the integer column N_i over s_i; with the c_i / s_i put over one
-    denominator D as w_i, F = sum_i w_i N_i.
-    """
-    columns, scales = _monomial_columns(weight(label), order)
-    weights, den = _over_common_denominator(
-        [c / s for c, s in zip(_eisenstein_coordinates(label), scales)]
-    )
-    return [sum(map(mul, weights, row)) for row in zip(*columns)], den
-
-
-@cache
-def _lifted_series(label: DescendentLabel, order: int) -> tuple[Fraction, ...]:
-    """<tau_label>_d for d = 0..order: the form over (q)_inf, F * p(n) over D."""
-    form, den = _form(label, order)
-    counts = [partition_count(d) for d in range(order + 1)]
-    return tuple(Fraction(x, den) for x in convolve(counts, form))
-
-
 def bracket_series(label, order: int) -> QSeries:
     """(q)_inf * sum_d <tau_label>_d q^d, truncated at ``order``."""
     return _bracket_series(as_label(label), order)
@@ -179,13 +162,20 @@ def bracket_series(label, order: int) -> QSeries:
 
 @cache
 def _bracket_series(label: DescendentLabel, order: int) -> QSeries:
-    """The form F over D; 0 for an odd weight and 1 for the empty label."""
+    """The form sum_i c_i M_i; 0 for an odd weight and 1 for the empty label.
+
+    M_i is the integer column N_i over s_i; with the c_i / s_i put over one
+    denominator D as w_i, the form is the integer series sum_i w_i N_i over D.
+    """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if weight(label) % 2 or not label:
         return QSeries([int(not label)], order=order)
-    form, den = _form(label, order)
-    return QSeries([Fraction(x, den) for x in form])
+    columns, scales = _monomial_columns(weight(label), order)
+    weights, den = _over_common_denominator(
+        [c / s for c, s in zip(_eisenstein_coordinates(label), scales)]
+    )
+    return QSeries([sum(map(mul, weights, row)) for row in zip(*columns)], den=den)
 
 
 def bracket_coefficient(label, d: int) -> Fraction:

@@ -1,13 +1,16 @@
 """Truncated q-expansions over the exact rationals.
 
-A :class:`QSeries` stores coefficients 0..order inclusive.  Arithmetic
-truncates to the smaller operand's order, so there is never phantom
-precision: the order of a value always bounds what is actually known.
-Values are immutable and safe to share between threads.
+A :class:`QSeries` stores coefficients 0..order inclusive, as integer
+numerators over their least positive common denominator; this module
+alone turns them into Fractions.  Arithmetic truncates to the smaller
+operand's order, so there is never phantom precision: the order of a
+value always bounds what is actually known.  Values are immutable and
+safe to share between threads.
 """
 
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 from operator import mul
 
 from .linalg import _over_common_denominator
@@ -41,26 +44,52 @@ def convolve(a, b) -> list[int]:
 
 
 class QSeries:
-    """A formal power series in q truncated at a fixed order."""
+    """A formal power series in q truncated at a fixed order.
 
-    __slots__ = ("coeffs",)
+    Integer numerators ``nums`` over ``den`` > 0, in lowest terms, so equal
+    series have equal ``(nums, den)``.  The constructor takes rationals,
+    or integers over ``den``; ``coeffs`` is the rational view, built once.
+    """
 
-    def __init__(self, coeffs, order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+    __slots__ = ("nums", "den", "_coeffs")
+
+    def __init__(self, coeffs, order: int | None = None, den: int = 1):
+        cs = list(coeffs)
         if order is not None:
             if order < 0:
                 raise ValueError("order must be nonnegative")
             if len(cs) > order + 1:
-                cs = cs[: order + 1]
+                del cs[order + 1 :]
             else:
-                cs += [Fraction(0)] * (order + 1 - len(cs))
+                cs += [0] * (order + 1 - len(cs))
         if not cs:
             raise ValueError("a series needs at least its constant term")
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        if not den:
+            raise ZeroDivisionError("a series needs a nonzero denominator")
+        if not all(type(c) is int for c in cs):
+            cs, common = _over_common_denominator(list(map(Fraction, cs)))
+            den *= common
+        g = gcd(den, *cs)
+        if den < 0:
+            g = -g
+        if g != 1:
+            cs = [c // g for c in cs]
+            den //= g
+        self.nums: tuple[int, ...] = tuple(cs)
+        self.den: int = den
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on first read and kept."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(x, den) for x in self.nums)
+        return self._coeffs
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __getitem__(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
@@ -70,46 +99,42 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def truncate(self, order: int) -> "QSeries":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return QSeries(self.coeffs, order=order)
+        return QSeries(self.nums, order=order, den=self.den)
 
     def qshift(self) -> "QSeries":
         """Multiply by q, keeping the truncation order (top term drops)."""
-        return QSeries((Fraction(0),) + self.coeffs[:-1])
+        return QSeries((0,) + self.nums[:-1], den=self.den)
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return QSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return QSeries([x * a + y * b for x, y in zip(self.nums, other.nums)], den=den)
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return QSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
+        return self + -other
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs])
+        return QSeries([-x for x in self.nums], den=self.den)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
-            # Convolve integer numerators over one common denominator per
-            # operand: a single Fraction per output coefficient.
-            n = min(self.order, other.order)
-            a, a_den = _over_common_denominator(self.coeffs[: n + 1])
-            b, b_den = _over_common_denominator(other.coeffs[: n + 1])
-            den = a_den * b_den
-            return QSeries([Fraction(c, den) for c in convolve(a, b)])
+            return QSeries(convolve(self.nums, other.nums), den=self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return QSeries([c * other for c in self.coeffs])
+            return QSeries(
+                [x * other.numerator for x in self.nums], den=self.den * other.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -119,23 +144,24 @@ class QSeries:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative powers are not defined for truncated series")
-        result = QSeries([1], order=self.order)
-        base = self
-        e = exponent
+        result, base, e = None, self, exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return QSeries([1], order=self.order) if result is None else result
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [fraction_str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "QSeries":
-        return cls([Fraction(c) for c in obj["coeffs"]], order=obj["order"])
+        coeffs, order = obj["coeffs"], obj["order"]
+        if len(coeffs) != order + 1:
+            raise ValueError(f"order {order} needs {order + 1} coefficients, got {len(coeffs)}")
+        return cls(coeffs)
 
     def __repr__(self):
         return f"QSeries({[str(c) for c in self.coeffs]})"
@@ -165,7 +191,7 @@ def euler_function(order: int) -> QSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    cs = [Fraction(0)] * (order + 1)
+    cs = [0] * (order + 1)
     for j, m in pentagonal_pairs(order):
         cs[order - m] += 1 if j % 2 == 0 else -1
     return QSeries(cs)
@@ -200,24 +226,15 @@ def eisenstein_series(k: int, order: int) -> QSeries:
     """Weight-k Eisenstein series -B_k/(2k) + sum sigma_{k-1}(n) q^n.
 
     Non-normalized convention: the constant term is -B_k/(2k), e.g.
-    -1/24 for k = 2 and 1/240 for k = 4.
-    """
-    nums, scale = eisenstein_numerators(k, order)
-    return QSeries([Fraction(x, scale) for x in nums])
-
-
-@cache
-def eisenstein_numerators(k: int, order: int) -> tuple[tuple[int, ...], int]:
-    """(N, s): s times the weight-k Eisenstein series is the integer series N.
-
-    s is the denominator of the constant term -B_k/(2k), so 24·E2, 240·E4
-    and 504·E6 start with -1, 1 and -1.
+    -1/24 for k = 2 and 1/240 for k = 4.  Its denominator s is the
+    series' ``den``, so 24·E2, 240·E4 and 504·E6 are the integer
+    ``nums``, starting with -1, 1 and -1.
     """
     if k < 2 or k % 2:
         raise ValueError(f"Eisenstein weight must be a positive even integer, got {k}")
     const = -bernoulli(k) / (2 * k)
-    scale = const.denominator
-    return (const.numerator, *(scale * sigma(n, k - 1) for n in range(1, order + 1))), scale
+    s = const.denominator
+    return QSeries([const.numerator, *(s * sigma(n, k - 1) for n in range(1, order + 1))], den=s)
 
 
 @cache

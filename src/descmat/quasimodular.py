@@ -5,19 +5,19 @@ The graded piece of weight k is spanned by monomials E2^a E4^b E6^c with
 heaviest E4 power) because printed matrices and tables elsewhere index
 rows by it.
 
-The monomials are built in integers: 24·E2, 240·E4 and 504·E6 have
-integer coefficients, so each monomial is an integer series over the
-product of its generators' scales.  The solver factors those integer
-columns, and :func:`monomial_series` is the rational view of the same
-numerators.
+A monomial is the product of its generator series.  24·E2, 240·E4 and
+504·E6 are integer series with constant term ±1, so each monomial's
+numerators are integers over the product of its generators' scales.
+The solver factors those integer columns, read off the monomial series
+themselves.
 """
 
-from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import mul
 from typing import NamedTuple
 
 from .linalg import InconsistentSystemError, SingularSystemError, factor_columns
-from .qseries import QSeries, convolve, eisenstein_numerators
+from .qseries import QSeries, eisenstein_series
 
 EXPANSION_MARGIN = 5
 
@@ -75,24 +75,9 @@ def eisenstein_monomials(k: int) -> tuple[EisensteinMonomial, ...]:
 
 @cache
 def monomial_series(mono: EisensteinMonomial, order: int) -> QSeries:
-    """q-expansion of one Eisenstein monomial."""
-    nums, scale = _monomial_numerators(mono, order)
-    return QSeries([Fraction(x, scale) for x in nums])
-
-
-def _monomial_numerators(mono: EisensteinMonomial, order: int) -> tuple[list[int], int]:
-    """(N, s), the monomial's q-expansion being the integer series N over s.
-
-    N is the product of the integer series s_w·E_w (24·E2, 240·E4 and
-    504·E6, s_w being the denominator of E_w's constant term), one factor
-    per generator power, and s the product of their scales.
-    """
-    nums, scale = None, 1
-    for weight, exponent in ((6, mono.c), (4, mono.b), (2, mono.a)):
-        gen, s = eisenstein_numerators(weight, order)
-        for _ in range(exponent):
-            nums, scale = list(gen) if nums is None else convolve(nums, gen), scale * s
-    return nums or [1] + [0] * order, scale
+    """q-expansion of one Eisenstein monomial, the product of its generator series."""
+    factors = [eisenstein_series(w, order) for w in mono.weight_tuple()]
+    return reduce(mul, factors) if factors else QSeries([1], order=order)
 
 
 def expand_in_eisenstein(series: QSeries, k: int):
@@ -111,13 +96,14 @@ def expand_in_eisenstein(series: QSeries, k: int):
         raise InsufficientOrderError(
             f"weight-{k} expansion needs order >= {base}, got {series.order}"
         )
-    return _monomial_solver(k, series.order)(series.coeffs)
+    return _monomial_solver(k, series.order)(series.nums, series.den)
 
 
 @cache
-def _monomial_columns(k: int, order: int) -> tuple[tuple[list[int], ...], tuple[int, ...]]:
-    """(columns, scales): each weight-k monomial's (N, s) to ``order``, built once."""
-    return tuple(zip(*(_monomial_numerators(m, order) for m in eisenstein_monomials(k))))
+def _monomial_columns(k: int, order: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(columns, scales): each weight-k monomial series' ``nums`` and ``den`` to ``order``."""
+    series = [monomial_series(m, order) for m in eisenstein_monomials(k)]
+    return tuple(s.nums for s in series), tuple(s.den for s in series)
 
 
 @cache

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +137,34 @@ def test_json_round_trip():
     assert payload["coeffs"][1] == "1"
 
 
+def test_from_json_refuses_a_coefficient_count_that_is_not_the_order():
+    for payload in ({"order": 5, "coeffs": ["1", "2"]}, {"order": 0, "coeffs": ["1", "2", "3"]}):
+        with pytest.raises(ValueError):
+            QSeries.from_json(payload)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=1, max_size=8),
+    st.integers(min_value=-30, max_value=30).filter(bool),
+)
+def test_integers_over_one_denominator_are_canonical(cs, m):
+    series = QSeries(cs)
+    common = lcm(*(c.denominator for c in cs))
+    ints = [m * c.numerator * (common // c.denominator) for c in cs]
+    scaled = QSeries(ints, den=m * common)
+    assert scaled == series and hash(scaled) == hash(series)
+    assert scaled.nums == series.nums and scaled.den == series.den
+    assert series.den > 0 and gcd(series.den, *series.nums) == 1
+    assert series.coeffs == tuple(cs)
+
+
+def test_truncate_and_qshift_reduce_again():
+    assert QSeries([1, Fraction(1, 2)]).truncate(0).den == 1
+    assert QSeries([1, Fraction(1, 2)]).qshift().den == 1
+    assert QSeries([2, 4], den=6) == QSeries([Fraction(1, 3), Fraction(2, 3)])
+
+
 def test_fraction_str_forms():
     assert fraction_str(Fraction(-3, 4)) == "-3/4"
     assert fraction_str(Fraction(8, 2)) == "4"
@@ -155,6 +184,8 @@ def test_coefficient_access_guards():
     series = QSeries([1, 2], order=1)
     with pytest.raises(IndexError):
         series[2]
+    with pytest.raises(ZeroDivisionError):
+        QSeries([1, 2], den=0)
     with pytest.raises(ValueError):
         series.truncate(5)
     for order in (-1, -2):

@@ -11,16 +11,25 @@ from descmat.linalg import (
     solve_exact,
 )
 from descmat.matroid import descendent_labels, descendent_matrix
-from descmat.qseries import QSeries, discriminant, eisenstein_series, euler_function
+from descmat.qseries import (
+    QSeries,
+    convolve,
+    discriminant,
+    eisenstein_series,
+    euler_function,
+    sigma,
+)
 from descmat.quasimodular import (
     EisensteinMonomial,
     InsufficientOrderError,
+    _monomial_columns,
     base_order,
     eisenstein_monomials,
     expand_in_eisenstein,
     monomial_series,
     qm_dimension,
 )
+from descmat.shifted import bernoulli
 
 
 def test_dimensions():
@@ -112,6 +121,34 @@ def test_dependent_columns_surface_as_singular():
     e4 = eisenstein_series(4, 9)
     with pytest.raises(SingularSystemError):
         solve_exact([e4.coeffs, e4.coeffs], discriminant(9).coeffs)
+
+
+def monomial_numerators(mono, order):
+    """(N, s): the monomial as the integer series N over s, by an integer loop.
+
+    N is the product of the integer series s_w·E_w (24·E2, 240·E4 and
+    504·E6, s_w being the denominator of E_w's constant term), one factor
+    per generator power, and s the product of their scales.
+    """
+    nums, scale = None, 1
+    for weight, exponent in ((6, mono.c), (4, mono.b), (2, mono.a)):
+        const = -bernoulli(weight) / (2 * weight)
+        s = const.denominator
+        gen = [const.numerator] + [s * sigma(n, weight - 1) for n in range(1, order + 1)]
+        for _ in range(exponent):
+            nums, scale = list(gen) if nums is None else convolve(nums, gen), scale * s
+    return nums or [1] + [0] * order, scale
+
+
+def test_monomial_columns_match_the_integer_loop():
+    # the columns are read off products of QSeries in lowest terms; each
+    # generator's constant numerator is ±1, so their den is the scales' product
+    for k in range(2, 19, 2):
+        for order in (base_order(k), 4 * base_order(k)):
+            columns, scales = _monomial_columns(k, order)
+            expected = [monomial_numerators(m, order) for m in eisenstein_monomials(k)]
+            assert [list(col) for col in columns] == [nums for nums, _ in expected], (k, order)
+            assert list(scales) == [s for _, s in expected], (k, order)
 
 
 def monomial_columns(k, order):
