@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 # each submodule and the names the package exports from it
 _EXPORTS = {
-    "characters": ("character", "character_table", "gw_character_oracle"),
     "decomposition": (
         "GENERATOR_TRIPLES",
         "LinearDecomposition",
@@ -47,7 +46,6 @@ _EXPORTS = {
         "named_restriction",
     ),
     "partitions": (
-        "centralizer_order",
         "partition_count",
         "partitions_min_two",
         "partitions_of",
@@ -70,7 +68,7 @@ _EXPORTS = {
         "monomial_series",
         "qm_dimension",
     ),
-    "shifted": ("bernoulli", "pk_constant", "shifted_power_sum"),
+    "shifted": ("bernoulli", "pk_constant"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

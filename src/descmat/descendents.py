@@ -17,10 +17,9 @@ that form.  Let base(k) = :func:`~descmat.quasimodular.base_order`.
   N_j * p_j(lam) are tabulated once per (j, d) and shared by every
   label, so the total t_d = D_label * <tau_label>_d, D_label being the
   label's shared denominator, is a sum of integer products.  The totals
-  for d <= base(k), signed-summed over the pentagonal pairs of (q)_inf,
-  are the bracket numerators the factored monomial solver divides once
-  per coordinate.  :func:`gw_invariant` at d <= base(k) is one total
-  over D_label.
+  for d <= base(k), times (q)_inf, are the bracket numerators the
+  factored monomial solver divides once per coordinate.
+  :func:`gw_invariant` at d <= base(k) is one total over D_label.
 * :func:`bracket_series` is the form to any order, a memoized
   :class:`~descmat.qseries.QSeries` of integer numerators F over one
   denominator D.  :func:`bracket_coefficient` reads it at the least order
@@ -28,11 +27,9 @@ that form.  Let base(k) = :func:`~descmat.quasimodular.base_order`.
   does an invariant above base(k): the form divided by (q)_inf, that is
   one integer dot product sum_m F_m p(d - m) over D.
 
-:func:`_partition_sum`, the same sum in Fractions, is the oracle of the
-integer kernel and of the lift, and the character route in
-:mod:`descmat.characters` is its oracle.  The pentagonal-pair sum over
-invariants, (q)_inf times sum_d <tau_label>_d q^d, is the identity the
-bracket is tested against, not a route that runs.
+The oracles live in the tests, not here: the same sum in Fractions
+checks the integer kernel and the lift, and the character double sum
+checks that sum.
 
 Two kinds of label skip the form.  An odd-weight label is 0 in
 every degree: conjugation gives p_k(lam') = (-1)^(k+1) p_k(lam), because
@@ -48,8 +45,8 @@ from math import factorial, lcm, prod
 from operator import mul
 
 from .linalg import _over_common_denominator
-from .partitions import partition_count, partitions_of, pentagonal_pairs
-from .qseries import QSeries
+from .partitions import partition_count, partitions_of
+from .qseries import QSeries, convolve, euler_function
 from .quasimodular import (
     EisensteinMonomial,
     _monomial_columns,
@@ -57,7 +54,7 @@ from .quasimodular import (
     base_order,
     eisenstein_monomials,
 )
-from .shifted import pk_constant, shifted_power_sum
+from .shifted import pk_constant
 
 DescendentLabel = tuple[int, ...]
 
@@ -141,20 +138,6 @@ def _scaled_power_sums(j: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _partition_sum(label: DescendentLabel, d: int) -> Fraction:
-    """The invariant as a Fraction sum over all p(d) partitions.
-
-    The oracle of the integer kernel and of the lift.
-    """
-    total = Fraction(0)
-    for lam in partitions_of(d):
-        term = Fraction(1)
-        for k in label:
-            term *= shifted_power_sum(k + 1, lam)
-        total += term
-    return total / prod(factorial(k + 1) for k in label)
-
-
 def bracket_series(label, order: int) -> QSeries:
     """(q)_inf * sum_d <tau_label>_d q^d, truncated at ``order``."""
     return _bracket_series(as_label(label), order)
@@ -206,10 +189,7 @@ def _eisenstein_coordinates(label: DescendentLabel) -> tuple[Fraction, ...]:
     k = weight(label)
     base = base_order(k)
     totals = [_partition_total(label, d) for d in range(base + 1)]
-    bracket = [
-        sum(totals[m] if j % 2 == 0 else -totals[m] for j, m in pentagonal_pairs(n))
-        for n in range(base + 1)
-    ]
+    bracket = convolve(euler_function(base).nums, totals)
     return _monomial_solver(k, base)(bracket, _label_scale(label))
 
 

@@ -13,19 +13,8 @@ are idempotent, so racing first calls at worst recompute equal values.
 
 import threading
 from functools import cache
-from math import factorial, prod
 
 Partition = tuple[int, ...]
-
-
-def as_partition(parts) -> Partition:
-    """Validate an iterable of parts and return the canonical tuple."""
-    lam = tuple(int(x) for x in parts)
-    if any(x < 1 for x in lam):
-        raise ValueError(f"partition parts must be positive integers: {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {lam}")
-    return lam
 
 
 @cache
@@ -54,19 +43,6 @@ def partitions_min_two(k: int) -> tuple[Partition, ...]:
     if k < 2 or k % 2:
         raise ValueError(f"expected a positive even integer, got {k}")
     return tuple(lam for lam in partitions_of(k) if lam[-1] >= 2)
-
-
-def centralizer_order(parts) -> int:
-    """Order of the centralizer of a permutation with cycle type ``parts``.
-
-    Equals (prod of multiplicity factorials) * (prod of parts); the empty
-    cycle type gives 1.
-    """
-    lam = as_partition(parts)
-    mult: dict[int, int] = {}
-    for x in lam:
-        mult[x] = mult.get(x, 0) + 1
-    return prod(factorial(m) for m in mult.values()) * prod(lam)
 
 
 _pcount: list[int] = [1]

@@ -232,6 +232,8 @@ def eisenstein_series(k: int, order: int) -> QSeries:
     """
     if k < 2 or k % 2:
         raise ValueError(f"Eisenstein weight must be a positive even integer, got {k}")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     const = -bernoulli(k) / (2 * k)
     s = const.denominator
     return QSeries([const.numerator, *(s * sigma(n, k - 1) for n in range(1, order + 1))], den=s)

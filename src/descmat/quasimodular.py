@@ -16,7 +16,7 @@ from functools import cache, reduce
 from operator import mul
 from typing import NamedTuple
 
-from .linalg import InconsistentSystemError, SingularSystemError, factor_columns
+from .linalg import factor_columns
 from .qseries import QSeries, eisenstein_series
 
 EXPANSION_MARGIN = 5
@@ -115,15 +115,3 @@ def _monomial_solver(k: int, order: int):
     """
     return factor_columns(*_monomial_columns(k, order))
 
-
-__all__ = [
-    "EisensteinMonomial",
-    "InsufficientOrderError",
-    "InconsistentSystemError",
-    "SingularSystemError",
-    "base_order",
-    "eisenstein_monomials",
-    "expand_in_eisenstein",
-    "monomial_series",
-    "qm_dimension",
-]

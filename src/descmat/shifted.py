@@ -1,12 +1,15 @@
-"""Bernoulli numbers and shifted power sums evaluated on partitions.
+"""Bernoulli numbers and the constants c_k of the shifted power sums.
 
-Everything is exact rational arithmetic; no floating point enters this
-module, so downstream equality tests can be bit-exact.
+The order-k shifted power sum of a partition lam is
+sum_i [(lam_i - i + 1/2)^k - (-i + 1/2)^k] + c_k.  The package tabulates
+it over all partitions of d in integers
+(:func:`descmat.descendents._scaled_power_sums`) and needs only c_k from
+here.  Everything is exact rational arithmetic, so downstream equality
+tests can be bit-exact.
 """
 
 import threading
 from fractions import Fraction
-from functools import cache
 from math import comb
 
 _bernoulli: list[Fraction] = [Fraction(1)]
@@ -41,20 +44,3 @@ def pk_constant(k: int) -> Fraction:
         raise ValueError("shifted power sums are indexed by k >= 1")
     return -(1 - Fraction(1, 2**k)) * bernoulli(k + 1) / (k + 1)
 
-
-@cache
-def shifted_power_sum(k: int, lam: tuple[int, ...]) -> Fraction:
-    """Order-k shifted power sum of a partition.
-
-    sum_i [(lam_i - i + 1/2)^k - (-i + 1/2)^k] + c_k, an exact rational.
-    Trailing zero parts contribute nothing, so padded tuples are accepted
-    and agree with the stripped partition.
-    """
-    if k < 1:
-        raise ValueError("shifted power sums are indexed by k >= 1")
-    # Both bracketed terms are odd-numerator halves; sum the integer
-    # numerators over a common denominator 2^k to avoid Fraction churn.
-    num = 0
-    for i, part in enumerate(lam, start=1):
-        num += (2 * part - 2 * i + 1) ** k - (1 - 2 * i) ** k
-    return Fraction(num, 2**k) + pk_constant(k)

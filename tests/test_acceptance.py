@@ -19,7 +19,6 @@ from golden_delta_tables import (
     POLY_ROWS,
 )
 
-from descmat.characters import character_table, gw_character_oracle
 from descmat.decomposition import (
     all_positive_decompositions,
     poly_basis_expand,
@@ -29,9 +28,10 @@ from descmat.decomposition import (
 )
 from descmat.descendents import bracket_series, gw_invariant, to_eisenstein
 from descmat.matroid import descendent_labels, descendent_matrix, named_restriction
-from descmat.partitions import centralizer_order, partition_count, partitions_of
+from descmat.partitions import partition_count, partitions_of
 from descmat.qseries import QSeries, discriminant, eisenstein_series, euler_function
 from descmat.quasimodular import base_order, expand_in_eisenstein, qm_dimension
+from oracles import centralizer_order, character_table, gw_character_oracle
 
 
 class budget:

@@ -3,10 +3,10 @@ from math import factorial
 
 import pytest
 
-from descmat.characters import character, character_table, gw_character_oracle
 from descmat.descendents import gw_invariant
 from descmat.matroid import descendent_labels
-from descmat.partitions import centralizer_order, partitions_of
+from descmat.partitions import partitions_of
+from oracles import centralizer_order, character, character_table, gw_character_oracle
 
 
 def hook_length_dimension(lam):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from descmat import __version__, characters, cli, decomposition, descendents, matroid, partitions
+from descmat import __version__, cli, decomposition, descendents, matroid, partitions
 from descmat.cli import main
 from descmat.qseries import QSeries
 from test_descendents import forbid_everywhere
@@ -273,7 +273,7 @@ def test_label_above_the_weight_cap_exits_one_before_any_partition(capsys, monke
     def no_partitions(*args):
         raise RuntimeError("partitions enumerated")
 
-    for module in (partitions, descendents, characters):
+    for module in (partitions, descendents):
         monkeypatch.setattr(module, "partitions_of", no_partitions)
     for argv in (
         ["evaluate", "--insertions", "30", "--degree", "500"],
@@ -476,8 +476,8 @@ def test_help_version_and_usage_errors_load_no_computational_module(argv, code):
 def test_each_command_loads_only_what_it_runs(command):
     code, *loaded = loaded_by(RUN_MAIN, command, *SUBCOMMANDS[command])
     assert code == "0"
-    # characters is the tests' oracle, and only --format json needs json
-    assert not {"descmat.characters", "json"} & set(loaded)
+    # only --format json needs json
+    assert "json" not in loaded
     if command in ("evaluate", "expand", "eisenstein"):
         assert "descmat.descendents" in loaded
         assert not {"descmat.matroid", "descmat.decomposition"} & set(loaded)

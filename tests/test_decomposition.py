@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from golden_delta_tables import POLY_ROWS
+from descmat import descendents
 from descmat.decomposition import (
     GENERATOR_TRIPLES,
     LinearDecomposition,
@@ -26,7 +27,6 @@ from descmat.matroid import descendent_labels, descendent_matrix
 from descmat.partitions import _bounded_partitions, pentagonal_pairs
 from descmat.qseries import QSeries, discriminant, eisenstein_series
 from descmat.quasimodular import InsufficientOrderError, base_order
-from descmat.shifted import shifted_power_sum
 
 
 def test_first_basis_row():
@@ -263,7 +263,7 @@ def test_deep_tau_leaves_the_memo_tables_bounded():
     # p(60) = 966 467 partitions per invariant; the lift must leave the
     # per-partition memo tables as the weight-12 solve left them.
     rows = all_positive_decompositions(12)
-    memos = (shifted_power_sum, _bounded_partitions)
+    memos = (descendents._scaled_power_sums, _bounded_partitions)
     before = [memo.cache_info().currsize for memo in memos]
     expected = tau_niebur(60)
     for key, dec in rows:

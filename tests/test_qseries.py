@@ -15,6 +15,7 @@ from descmat.qseries import (
     inverse_euler,
     sigma,
 )
+from descmat.quasimodular import EisensteinMonomial, monomial_series
 
 
 def geometric(order):
@@ -104,6 +105,11 @@ def test_eisenstein_rejects_bad_weight():
     for bad in (0, -2, 3):
         with pytest.raises(ValueError):
             eisenstein_series(bad, 5)
+    for order in (-1, -3):
+        with pytest.raises(ValueError):
+            eisenstein_series(4, order)
+    with pytest.raises(ValueError):
+        monomial_series(EisensteinMonomial(0, 1, 1), -2)
 
 
 def test_sigma_is_a_divisor_sum():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from descmat.descendents import _partition_sum, bracket_series
+from descmat.descendents import bracket_series
 from descmat.linalg import (
     InconsistentSystemError,
     SingularSystemError,
@@ -30,6 +30,7 @@ from descmat.quasimodular import (
     qm_dimension,
 )
 from descmat.shifted import bernoulli
+from oracles import partition_sum
 
 
 def test_dimensions():
@@ -163,7 +164,7 @@ def test_factored_solve_matches_solve_exact_on_every_label_to_weight_eighteen():
         columns = monomial_columns(k, order)
         oracle = {}
         for label in descendent_labels(k):
-            inner = QSeries([_partition_sum(label, d) for d in range(order + 1)])
+            inner = QSeries([partition_sum(label, d) for d in range(order + 1)])
             bracket = euler_function(order) * inner
             oracle[label] = tuple(solve_exact(columns, bracket.coeffs))
             assert expand_in_eisenstein(bracket, k) == oracle[label], label

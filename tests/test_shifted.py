@@ -4,7 +4,8 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from descmat.shifted import bernoulli, pk_constant, shifted_power_sum
+from descmat.shifted import bernoulli, pk_constant
+from oracles import shifted_power_sum
 
 
 def test_bernoulli_recurrence_holds_on_cached_prefix():
