@@ -5,14 +5,19 @@ Two flavours of decomposition:
 * linear — the discriminant written over a basis of weight-12 descendent
   series, one decomposition per basis of the positive restriction; the
   scale of each is the least positive integer clearing all denominators,
-  recomputed here rather than read from anywhere.
+  recomputed here rather than read from anywhere.  The table takes one
+  exact solve, on the first basis: every other row is that solution
+  plus the kernel vector, from the matroid's dual, that cancels it off
+  the basis, a small integer system since the complement of a basis is
+  a basis of the dual.  The solve on each basis is the route's oracle.
 * polynomial — the discriminant (or any weight-k form, a q-series
   target read at base(k)) written in monomials of one of the eight
   generator triples in weights 2, 4, 6.
 
 On top of the linear decompositions sits the pentagonal-pair evaluation
-of tau(d), which is cross-checked against a divisor-sum closed form and
-the direct q-expansion.
+of tau(d), one integer sum over the basis labels' forms, which is
+cross-checked against a divisor-sum closed form and the direct
+q-expansion.
 """
 
 from fractions import Fraction
@@ -21,13 +26,13 @@ from typing import NamedTuple
 
 from .descendents import (
     DescendentLabel,
+    _form_reaching,
     as_label,
-    bracket_coefficient,
     bracket_series,
     eisenstein_coordinates,
     weight,
 )
-from .linalg import solve_exact
+from .linalg import _over_common_denominator, _primitive, _solve, solve_exact
 from .matroid import descendent_matrix
 from .qseries import QSeries, discriminant, sigma
 from .quasimodular import (
@@ -97,9 +102,51 @@ def all_positive_decompositions(k: int = 12) -> list[tuple[str, LinearDecomposit
     m = descendent_matrix(k, positive=True)
     target = expand_in_eisenstein(discriminant(base_order(k)), k)
     return [
-        (basis_key(m.labels.index(lab) + 1 for lab in basis), _solve_coordinates(basis, target))
-        for basis in m.bases()
+        (basis_key(i + 1 for i in idxs), dec) for idxs, dec in _basis_decompositions(m, target)
     ]
+
+
+def _basis_decompositions(m, target_coords):
+    """(indices, decomposition) of the target over every basis of ``m``, in order.
+
+    Column j of ``m`` is s_j times the integer column C_j, and the rows of
+    its dual span the kernel of C.  One solve on the first basis gives a
+    particular solution x0; in the integer frame z_j = s_j x_j every
+    solution is z0 + Kᵀy.  The one over a basis B vanishes on the
+    complement, and K restricted to the complement is square and
+    invertible (it is a basis of the dual), so y solves that small integer
+    system.  A singular one raises :class:`SingularSystemError`.
+    """
+    bases = m.bases()
+    first = next(bases, None)
+    if first is None:
+        return
+    index = m._index
+    x0 = _solve_coordinates(first, target_coords)
+    yield [index[label] for label in first], x0
+    scales = m._scales
+    z0 = [0] * len(m)
+    for label, x in zip(first, x0.coefficients):
+        z0[index[label]] = x * scales[index[label]]
+    # z0 = nums / den0, and the kernel rows as primitive integer rows
+    nums, den0 = _over_common_denominator(z0)
+    kernel = [_primitive(row)[0] for row in m.dual().matrix()]
+    for basis in bases:
+        idxs = [index[label] for label in basis]
+        inside = set(idxs)
+        rows = [[*(row[c] for row in kernel), -nums[c]] for c in range(len(m)) if c not in inside]
+        y, den, _ = _solve(rows, len(kernel))
+        # z_j = (den·nums_j + Σ_i Y_i K_ij) / (den·den0), and x_j = z_j / s_j
+        coefficients = tuple(
+            Fraction(
+                (den * nums[j] + sum(yi * row[j] for (yi,), row in zip(y, kernel)))
+                * scales[j].denominator,
+                den * den0 * scales[j].numerator,
+            )
+            for j in idxs
+        )
+        scale = lcm(*(c.denominator for c in coefficients))
+        yield idxs, LinearDecomposition(basis, coefficients, scale)
 
 
 GENERATOR_TRIPLES: dict[int, tuple[DescendentLabel, ...]] = {
@@ -198,19 +245,24 @@ def tau_pentagonal(d: int, decomposition: LinearDecomposition) -> int:
 
     Sums (-1)^j a_b <tau_b>_m over all pairs 3j^2 - j + 2m = 2d and basis
     elements b, the sum over j first: label b's bracket coefficient S_b(d),
-    shared by every decomposition, gives tau(d) = sum_b a_b S_b(d).  The
-    result must be an integer; anything else means the decomposition's
-    coefficients are corrupt, and is raised.
+    shared by every decomposition, gives tau(d) = sum_b a_b S_b(d).  With
+    a_b = n_b / N and S_b(d) = F_b[d] / D_b read off label b's form, the
+    sum is one integer over N·lcm(D_b).  The result must be an integer;
+    anything else means the decomposition's coefficients are corrupt, and
+    is raised.
     """
     if d < 1:
         raise ValueError("tau is defined for d >= 1")
-    terms = zip(decomposition.basis, decomposition.coefficients)
-    total = sum((coeff * bracket_coefficient(label, d) for label, coeff in terms), Fraction(0))
-    if total.denominator != 1:
+    nums, den = _over_common_denominator(decomposition.coefficients)
+    forms = [_form_reaching(as_label(label), d) for label in decomposition.basis]
+    form_den = lcm(*(form.den for form in forms))
+    total = sum(n * form.nums[d] * (form_den // form.den) for n, form in zip(nums, forms))
+    den *= form_den
+    if total % den:
         raise ArithmeticError(
-            f"tau({d}) evaluated to the non-integer {total}: corrupt coefficients"
+            f"tau({d}) evaluated to the non-integer {Fraction(total, den)}: corrupt coefficients"
         )
-    return int(total)
+    return total // den
 
 
 class TauCheck(NamedTuple):

@@ -61,7 +61,7 @@ DescendentLabel = tuple[int, ...]
 
 def as_label(insertions) -> DescendentLabel:
     """Canonical descending tuple of nonnegative insertion orders."""
-    ks = tuple(sorted((int(k) for k in insertions), reverse=True))
+    ks = tuple(sorted(map(int, insertions), reverse=True))
     if ks and ks[-1] < 0:
         raise ValueError(f"insertion orders must be nonnegative: {ks}")
     return ks
@@ -82,11 +82,10 @@ def gw_invariant(label, d: int) -> Fraction:
         return Fraction(0)
     if not label:
         return Fraction(partition_count(d))
-    base = base_order(k)
-    if d <= base:
+    if d <= base_order(k):
         return _integer_partition_sum(label, d)
     # the form F over D, divided by (q)_inf: sum_m F_m p(d - m) over D
-    form = _bracket_series(label, _lift_order(base, d))
+    form = _form_reaching(label, d)
     counts = map(partition_count, range(d, -1, -1))
     return Fraction(sum(map(mul, form.nums, counts)), form.den)
 
@@ -122,11 +121,16 @@ def _power_sum_scale(j: int) -> int:
 
 
 @cache
+def _scaled_constant(j: int) -> int:
+    """N_j * c_j, the integer constant term of N_j * p_j."""
+    return int(pk_constant(j) * _power_sum_scale(j))
+
+
+@cache
 def _scaled_power_sums(j: int, d: int) -> tuple[int, ...]:
     """N_j * p_j(lam) for every partition lam of d, in the frozen order."""
-    scale = _power_sum_scale(j)
-    num_scale = scale >> j
-    const = int(pk_constant(j) * scale)
+    num_scale = _power_sum_scale(j) >> j
+    const = _scaled_constant(j)
     # (2 lam_i - 2i + 1)^j is powers[lam_i - i + d], and (1 - 2i)^j is powers[d - i]
     powers = [a**j for a in range(1 - 2 * d, 2 * d, 2)]
     out = []
@@ -166,11 +170,16 @@ def bracket_coefficient(label, d: int) -> Fraction:
 
     Read off the label's form at the least order base(k) * 2^j >= d.
     """
+    form = _form_reaching(as_label(label), d)
+    return Fraction(form.nums[d], form.den)
+
+
+def _form_reaching(label: DescendentLabel, d: int) -> QSeries:
+    """The label's form at the order :func:`bracket_coefficient` reads degree d at."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    lab = as_label(label)
-    k = weight(lab)
-    return _bracket_series(lab, _lift_order(base_order(k - k % 2), d))[d]
+    k = weight(label)
+    return _bracket_series(label, _lift_order(base_order(k - k % 2), d))
 
 
 def eisenstein_coordinates(label) -> tuple[Fraction, ...]:

@@ -5,13 +5,15 @@ from itertools import combinations
 import pytest
 
 from golden_delta_tables import POLY_ROWS
-from descmat import descendents
+from descmat import decomposition, descendents
 from descmat.decomposition import (
     GENERATOR_TRIPLES,
     LinearDecomposition,
     PolynomialDecomposition,
     TauCheck,
     TauReport,
+    _basis_decompositions,
+    _solve_coordinates,
     all_positive_decompositions,
     basis_key,
     poly_basis_expand,
@@ -21,12 +23,17 @@ from descmat.decomposition import (
     tau_pentagonal,
     tau_relation_report,
 )
-from descmat.descendents import bracket_series, gw_invariant
-from descmat.linalg import InconsistentSystemError, SingularSystemError
+from descmat.descendents import bracket_series, eisenstein_coordinates, gw_invariant
+from descmat.linalg import InconsistentSystemError, SingularSystemError, solve_exact
 from descmat.matroid import descendent_labels, descendent_matrix
 from descmat.partitions import _bounded_partitions, pentagonal_pairs
 from descmat.qseries import QSeries, discriminant, eisenstein_series
-from descmat.quasimodular import InsufficientOrderError, base_order
+from descmat.quasimodular import (
+    InsufficientOrderError,
+    base_order,
+    expand_in_eisenstein,
+    qm_dimension,
+)
 
 
 def test_first_basis_row():
@@ -93,6 +100,60 @@ def test_all_positive_decompositions_count_and_order():
     assert keys == expected
     with pytest.raises(ValueError):
         all_positive_decompositions(10)
+
+
+def assert_same_decomposition(dec, oracle):
+    assert dec.basis == oracle.basis
+    assert dec.coefficients == oracle.coefficients
+    assert all(type(c) is Fraction for c in dec.coefficients)
+    assert dec.scale == oracle.scale and type(dec.scale) is int
+
+
+def test_every_positive_row_equals_the_solve_on_its_basis():
+    ground = descendent_labels(12, positive=True)
+    target = expand_in_eisenstein(discriminant(base_order(12)), 12)
+    for key, dec in all_positive_decompositions(12):
+        assert dec.basis == tuple(ground[int(i) - 1] for i in key.strip("()")), key
+        assert_same_decomposition(dec, _solve_coordinates(dec.basis, target))
+
+
+def test_kernel_route_equals_the_solve_on_every_full_weight_ten_basis():
+    # n - r = 7 here, against 2 for the positive weight-12 table
+    m = descendent_matrix(10)
+    assert (len(m), m.rank()) == (12, 5)
+    rng = random.Random(10)
+    target = tuple(
+        Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(qm_dimension(10))
+    )
+    rows = list(_basis_decompositions(m, target))
+    assert [dec.basis for _, dec in rows] == list(m.bases())
+    assert len(rows) == m.bases_count() == 730
+    for idxs, dec in rows:
+        assert tuple(m.labels[i] for i in idxs) == dec.basis
+        assert_same_decomposition(dec, _solve_coordinates(dec.basis, target))
+
+
+def test_the_positive_table_makes_one_exact_solve(monkeypatch):
+    calls = []
+
+    def counting_solve(columns, target):
+        calls.append(len(columns))
+        return solve_exact(columns, target)
+
+    monkeypatch.setattr(decomposition, "solve_exact", counting_solve)
+    assert len(all_positive_decompositions(12)) == 36
+    assert calls == [7]
+
+
+def test_kernel_route_refuses_a_dependent_set(monkeypatch):
+    m8 = descendent_matrix(8)
+    dependent = ((4, 0), (2, 0, 0), (1, 1, 0), (0, 0, 0, 0))
+    first = next(m8.bases())
+    monkeypatch.setattr(m8, "bases", lambda: iter([first, dependent]))
+    rows = _basis_decompositions(m8, eisenstein_coordinates((6,)))
+    assert next(rows)[1].basis == first
+    with pytest.raises(SingularSystemError):
+        next(rows)
 
 
 def test_decompositions_rebuild_the_discriminant_series():
@@ -230,8 +291,11 @@ def test_tau_pentagonal_rejects_corrupt_coefficients():
     ground = descendent_labels(12, positive=True)
     dec = solve_linear(ground[:7], discriminant(24), 12)
     broken = dec.__class__(dec.basis, dec.coefficients[:-1] + (Fraction(1, 7),), 7)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError) as info:
         tau_pentagonal(2, broken)
+    assert str(info.value) == (
+        "tau(2) evaluated to the non-integer -1855215990581/113481216: corrupt coefficients"
+    )
 
 
 def test_tau_domain_guards():
