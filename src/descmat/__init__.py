@@ -37,7 +37,7 @@ _EXPORTS = {
         "to_eisenstein",
         "weight",
     ),
-    "linalg": ("InconsistentSystemError", "SingularSystemError", "solve_exact"),
+    "linalg": ("InconsistentSystemError", "SingularSystemError"),
     "matroid": (
         "LinearMatroid",
         "TuttePolynomial",

@@ -6,10 +6,11 @@ Two flavours of decomposition:
   series, one decomposition per basis of the positive restriction; the
   scale of each is the least positive integer clearing all denominators,
   recomputed here rather than read from anywhere.  The table takes one
-  exact solve, on the first basis: every other row is that solution
-  plus the kernel vector, from the matroid's dual, that cancels it off
-  the basis, a small integer system since the complement of a basis is
-  a basis of the dual.  The solve on each basis is the route's oracle.
+  particular solution, from the factored columns of its first basis,
+  and every row, the first included, is that solution plus the kernel
+  vector, from the matroid's dual, that cancels it off the basis: a
+  small integer system, since the complement of a basis is a basis of
+  the dual.  A one-off solve on each basis is the route's oracle.
 * polynomial — the discriminant (or any weight-k form, a q-series
   target read at base(k)) written in monomials of one of the eight
   generator triples in weights 2, 4, 6.
@@ -21,6 +22,7 @@ q-expansion.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -32,7 +34,7 @@ from .descendents import (
     eisenstein_coordinates,
     weight,
 )
-from .linalg import _over_common_denominator, _primitive, _solve, solve_exact
+from .linalg import _over_common_denominator, _primitive, _solve, factor_columns
 from .matroid import descendent_matrix
 from .qseries import QSeries, discriminant, sigma
 from .quasimodular import (
@@ -52,7 +54,12 @@ class LinearDecomposition(NamedTuple):
 
     @property
     def scaled_coefficients(self) -> tuple[int, ...]:
-        return tuple(int(c * self.scale) for c in self.coefficients)
+        """Each coefficient times ``scale``; a non-integer product raises ValueError."""
+        scaled = [c * self.scale for c in self.coefficients]
+        for c, x in zip(self.coefficients, scaled):
+            if x.denominator != 1:
+                raise ValueError(f"scale {self.scale} does not clear the coefficient {c}")
+        return tuple(int(x) for x in scaled)
 
 
 def solve_linear(basis, target: QSeries, k: int) -> LinearDecomposition:
@@ -74,15 +81,10 @@ def solve_linear(basis, target: QSeries, k: int) -> LinearDecomposition:
     bad = [lab for lab in labels if weight(lab) != k]
     if bad:
         raise ValueError(f"labels of wrong weight for k={k}: {bad}")
-    return _solve_coordinates(labels, expand_in_eisenstein(target, k))
-
-
-def _solve_coordinates(labels, target_coords) -> LinearDecomposition:
-    """The decomposition of a coordinate vector over distinct labels."""
-    columns = [eisenstein_coordinates(lab) for lab in labels]
-    x = tuple(solve_exact(columns, target_coords))
-    scale = lcm(*(c.denominator for c in x))
-    return LinearDecomposition(labels, x, scale)
+    coords = expand_in_eisenstein(target, k)
+    columns = [_over_common_denominator(eisenstein_coordinates(lab)) for lab in labels]
+    x = factor_columns(*zip(*columns))(coords)
+    return LinearDecomposition(labels, x, lcm(*(c.denominator for c in x)))
 
 
 def basis_key(indices) -> str:
@@ -110,28 +112,29 @@ def _basis_decompositions(m, target_coords):
     """(indices, decomposition) of the target over every basis of ``m``, in order.
 
     Column j of ``m`` is s_j times the integer column C_j, and the rows of
-    its dual span the kernel of C.  One solve on the first basis gives a
-    particular solution x0; in the integer frame z_j = s_j x_j every
-    solution is z0 + Kᵀy.  The one over a basis B vanishes on the
-    complement, and K restricted to the complement is square and
-    invertible (it is a basis of the dual), so y solves that small integer
-    system.  A singular one raises :class:`SingularSystemError`.
+    its dual span the kernel of C.  In the integer frame z_j = s_j x_j,
+    one particular solution z0 comes from the factored integer columns of
+    the first basis, which also raise :class:`InconsistentSystemError`
+    for a target outside their span, and every solution is z0 + Kᵀy.
+    The one over a basis B vanishes on the complement, and K restricted
+    to the complement is square and invertible (it is a basis of the
+    dual), so y solves that small integer system; every row, the first
+    included (where y = 0), is read this way.  A singular system raises
+    :class:`SingularSystemError`.
     """
     bases = m.bases()
     first = next(bases, None)
     if first is None:
         return
     index = m._index
-    x0 = _solve_coordinates(first, target_coords)
-    yield [index[label] for label in first], x0
-    scales = m._scales
-    z0 = [0] * len(m)
-    for label, x in zip(first, x0.coefficients):
-        z0[index[label]] = x * scales[index[label]]
+    first_idxs = [index[label] for label in first]
+    solve = factor_columns([m._int_columns[j] for j in first_idxs], [1] * len(first_idxs))
+    z0 = dict(zip(first_idxs, solve(target_coords)))
     # z0 = nums / den0, and the kernel rows as primitive integer rows
-    nums, den0 = _over_common_denominator(z0)
+    nums, den0 = _over_common_denominator([z0.get(j, 0) for j in range(len(m))])
     kernel = [_primitive(row)[0] for row in m.dual().matrix()]
-    for basis in bases:
+    scales = m._scales
+    for basis in chain((first,), bases):
         idxs = [index[label] for label in basis]
         inside = set(idxs)
         rows = [[*(row[c] for row in kernel), -nums[c]] for c in range(len(m)) if c not in inside]
@@ -215,8 +218,11 @@ def poly_basis_expand(triple_type: int, target: QSeries, k: int) -> PolynomialDe
     coords = expand_in_eisenstein(target, k)
     exponents = [(m.a, m.b, m.c) for m in eisenstein_monomials(k)]
     w2, w4, w6 = (bracket_series(g, base_order(k)) for g in generators)
-    columns = [expand_in_eisenstein(w2**a * w4**b * w6**c, k) for a, b, c in exponents]
-    x = solve_exact(columns, coords)
+    columns = [
+        _over_common_denominator(expand_in_eisenstein(w2**a * w4**b * w6**c, k))
+        for a, b, c in exponents
+    ]
+    x = factor_columns(*zip(*columns))(coords)
     return PolynomialDecomposition(triple_type, generators, tuple(zip(exponents, x)))
 
 

@@ -5,10 +5,11 @@ eliminates one column of integer rows by the two-term update
 t_p·row_i − t_i·row_p and divides each rebuilt row by its content,
 which keeps entries at minor-determinant size.  :func:`_echelon` folds
 the step over leading columns: :func:`int_row_rank` counts its pivots,
-and :func:`solve_exact` and :func:`factor_columns` back-substitute
-through them, the first for one target-augmented column and the second
-for identity-augmented columns that solve many targets, with
-:func:`solve_exact` as its oracle.  Back-substitution stays in integers
+and :func:`_solve` back-substitutes through them.  The package's one
+solver, :func:`factor_columns`, runs :func:`_solve` once on the columns
+with the identity appended, so the factored columns then solve any
+number of targets; its oracle, a one-off solve on a target-augmented
+column, lives with the tests.  Back-substitution stays in integers
 too, over one running denominator, so a solution costs one Fraction per
 entry.  The subset search and the dual in :mod:`descmat.matroid` take
 the same step.  Rational rows become primitive integer rows by
@@ -133,42 +134,19 @@ def _solve(rows, ncols: int):
     return x, den, rest
 
 
-def solve_exact(columns, target) -> list[Fraction]:
-    """Solve sum_j x_j columns[j] = target exactly, using every row.
-
-    Elimination runs over all available rows, so a singular leading block
-    simply recruits later rows as pivots; rows that never pivot act as
-    consistency checks on the solution.  Raises
-    :class:`SingularSystemError` when the columns are dependent (or too
-    few rows carry a pivot) and :class:`InconsistentSystemError` when the
-    target lies outside the column span.
-    """
-    ncols = len(columns)
-    nrows = len(target)
-    if any(len(col) != nrows for col in columns):
-        raise ValueError("columns and target must have equal length")
-    rows = [_primitive(row)[0] for row in zip(*columns, target)]
-    x, den, rest = _solve(rows, ncols)
-    for i, (t,) in enumerate(rest, start=ncols):
-        if t:
-            raise InconsistentSystemError(
-                f"row {i} is inconsistent: target is not in the column span"
-            )
-    return [Fraction(xj, den) for (xj,) in x]
-
-
 def factor_columns(columns, scales):
     """Eliminate fixed columns once; return their exact solver.
 
     Column j is the integer column ``columns[j]`` over ``scales[j]``.  The
-    returned ``solve(target, den=1)`` gives, as a tuple, what
-    :func:`solve_exact` would give for these columns and the rational
-    target / den, and raises the same errors, at the cost of integer dot
-    products and one Fraction per coordinate.  The integer block is
-    eliminated with the identity appended, which records the row
-    operations as an integer matrix L.  The rows of L past the pivots
-    annihilate every column, so a target lies in the span exactly when
-    each of them annihilates it too.  The pivot rows, back-substituted
+    returned ``solve(target, den=1)`` gives, as a tuple, the exact
+    coefficients x with Σ x_j·column_j = target / den, at the cost of
+    integer dot products and one Fraction per coordinate.  Dependent
+    columns raise :class:`SingularSystemError` here, and a target outside
+    their span raises :class:`InconsistentSystemError` from ``solve``.
+    The integer block is eliminated with the identity appended, which
+    records the row operations as an integer matrix L.  The rows of L
+    past the pivots annihilate every column, so a target lies in the
+    span exactly when each of them annihilates it too.  The pivot rows, back-substituted
     once, become an integer solution operator over one common denominator.
     """
     ncols = len(columns)

@@ -88,8 +88,8 @@ def expand_in_eisenstein(series: QSeries, k: int):
     "not actually a weight-k form" from a silent wrong answer into
     :class:`~descmat.linalg.InconsistentSystemError`.  Returns the full
     coefficient vector in monomial order.  The monomial block is factored
-    once per (k, order) and shared by every series of that order;
-    :func:`~descmat.linalg.solve_exact` on the same columns is its oracle.
+    once per (k, order) and shared by every series of that order; its
+    oracle, a one-off solve of the same columns, is in ``tests/oracles.py``.
     """
     base = base_order(k)
     if series.order < base:

@@ -4,7 +4,9 @@ None of this runs in the package.  :func:`partition_sum` is the
 degree-d descendent invariant as a Fraction sum over the partitions of
 d, the oracle of the integer kernel and of the lift.  The character
 double sum :func:`gw_character_oracle`, with characters by rim-hook
-peeling, is that sum's own oracle.
+peeling, is that sum's own oracle.  :func:`solve_exact`, one solve on a
+target-augmented column, is the oracle of the factored solver
+``descmat.linalg.factor_columns`` and of every route built on it.
 """
 
 from fractions import Fraction
@@ -12,8 +14,33 @@ from functools import cache
 from math import factorial, prod
 
 from descmat.descendents import as_label
+from descmat.linalg import InconsistentSystemError, _primitive, _solve
 from descmat.partitions import partitions_of
 from descmat.shifted import pk_constant
+
+
+def solve_exact(columns, target) -> list[Fraction]:
+    """Solve sum_j x_j columns[j] = target exactly, using every row.
+
+    Elimination runs over all available rows, so a singular leading block
+    simply recruits later rows as pivots; rows that never pivot act as
+    consistency checks on the solution.  Raises
+    :class:`SingularSystemError` when the columns are dependent (or too
+    few rows carry a pivot) and :class:`InconsistentSystemError` when the
+    target lies outside the column span.
+    """
+    ncols = len(columns)
+    nrows = len(target)
+    if any(len(col) != nrows for col in columns):
+        raise ValueError("columns and target must have equal length")
+    rows = [_primitive(row)[0] for row in zip(*columns, target)]
+    x, den, rest = _solve(rows, ncols)
+    for i, (t,) in enumerate(rest, start=ncols):
+        if t:
+            raise InconsistentSystemError(
+                f"row {i} is inconsistent: target is not in the column span"
+            )
+    return [Fraction(xj, den) for (xj,) in x]
 
 
 def as_partition(parts) -> tuple[int, ...]:

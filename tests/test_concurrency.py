@@ -122,4 +122,4 @@ def held(name):
 print(len(names), all(s is not None and all(s[n] is held(n) for n in names) for s in seen))
 """
     proc = fresh_python(probe)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "52 True\n")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "51 True\n")

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -13,7 +14,6 @@ from descmat.decomposition import (
     TauCheck,
     TauReport,
     _basis_decompositions,
-    _solve_coordinates,
     all_positive_decompositions,
     basis_key,
     poly_basis_expand,
@@ -24,7 +24,7 @@ from descmat.decomposition import (
     tau_relation_report,
 )
 from descmat.descendents import bracket_series, eisenstein_coordinates, gw_invariant
-from descmat.linalg import InconsistentSystemError, SingularSystemError, solve_exact
+from descmat.linalg import InconsistentSystemError, SingularSystemError, factor_columns
 from descmat.matroid import descendent_labels, descendent_matrix
 from descmat.partitions import _bounded_partitions, pentagonal_pairs
 from descmat.qseries import QSeries, discriminant, eisenstein_series
@@ -34,6 +34,7 @@ from descmat.quasimodular import (
     expand_in_eisenstein,
     qm_dimension,
 )
+from oracles import solve_exact
 
 
 def test_first_basis_row():
@@ -102,6 +103,19 @@ def test_all_positive_decompositions_count_and_order():
         all_positive_decompositions(10)
 
 
+def test_scaled_coefficients_refuse_a_scale_that_leaves_a_fraction():
+    dec = LinearDecomposition(((4,), (2, 2)), (Fraction(1, 2), Fraction(-5, 3)), 2)
+    with pytest.raises(ValueError, match="-5/3"):
+        dec.scaled_coefficients
+    assert dec._replace(scale=6).scaled_coefficients == (3, -10)
+
+
+def solve_on(labels, target):
+    """The oracle row: the one-off solve over the labels' coordinates, over its lcm."""
+    x = tuple(solve_exact([eisenstein_coordinates(lab) for lab in labels], target))
+    return LinearDecomposition(tuple(labels), x, lcm(*(c.denominator for c in x)))
+
+
 def assert_same_decomposition(dec, oracle):
     assert dec.basis == oracle.basis
     assert dec.coefficients == oracle.coefficients
@@ -114,7 +128,7 @@ def test_every_positive_row_equals_the_solve_on_its_basis():
     target = expand_in_eisenstein(discriminant(base_order(12)), 12)
     for key, dec in all_positive_decompositions(12):
         assert dec.basis == tuple(ground[int(i) - 1] for i in key.strip("()")), key
-        assert_same_decomposition(dec, _solve_coordinates(dec.basis, target))
+        assert_same_decomposition(dec, solve_on(dec.basis, target))
 
 
 def test_kernel_route_equals_the_solve_on_every_full_weight_ten_basis():
@@ -130,17 +144,36 @@ def test_kernel_route_equals_the_solve_on_every_full_weight_ten_basis():
     assert len(rows) == m.bases_count() == 730
     for idxs, dec in rows:
         assert tuple(m.labels[i] for i in idxs) == dec.basis
-        assert_same_decomposition(dec, _solve_coordinates(dec.basis, target))
+        assert_same_decomposition(dec, solve_on(dec.basis, target))
+
+
+def test_kernel_route_checks_the_target_on_a_restriction_of_lower_rank():
+    # rank 3 < 7 rows, so the first basis's factored columns keep four
+    # annihilator rows, and they alone decide whether the target is in the span
+    four = ((5, 1, 0), (3, 3, 0), (3, 1, 0, 0), (2, 1, 1, 0))
+    rng = random.Random(12)
+    for labels, nbases in ((four[:3], 1), (four, 4)):
+        m = descendent_matrix(12).restrict(labels)
+        assert (m.rank(), m.nrows, m.bases_count()) == (3, 7, nbases)
+        with pytest.raises(InconsistentSystemError):
+            next(_basis_decompositions(m, eisenstein_coordinates((10,))))
+        a, b = (m.columns[i] for i in rng.sample(range(len(m)), 2))
+        u, v = rng.choice([-7, -2, 3, 5]), rng.choice([-3, 2, 9])
+        target = tuple(u * x + v * y for x, y in zip(a, b))
+        rows = list(_basis_decompositions(m, target))
+        assert [dec.basis for _, dec in rows] == list(m.bases())
+        for _, dec in rows:
+            assert_same_decomposition(dec, solve_on(dec.basis, target))
 
 
 def test_the_positive_table_makes_one_exact_solve(monkeypatch):
     calls = []
 
-    def counting_solve(columns, target):
+    def counting_factor(columns, scales):
         calls.append(len(columns))
-        return solve_exact(columns, target)
+        return factor_columns(columns, scales)
 
-    monkeypatch.setattr(decomposition, "solve_exact", counting_solve)
+    monkeypatch.setattr(decomposition, "factor_columns", counting_factor)
     assert len(all_positive_decompositions(12)) == 36
     assert calls == [7]
 

@@ -10,8 +10,8 @@ from descmat.linalg import (
     _primitive,
     factor_columns,
     int_row_rank,
-    solve_exact,
 )
+from oracles import solve_exact
 
 
 def fraction_gauss_rank(rows):

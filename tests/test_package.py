@@ -35,7 +35,7 @@ PUBLIC_NAMES = [
     "monomial_series", "named_restriction", "partition_count", "partitions",
     "partitions_min_two", "partitions_of", "pentagonal_pairs", "pk_constant",
     "poly_basis_expand", "qm_dimension", "qseries", "quasimodular", "shifted",
-    "sigma", "solve_exact", "solve_linear", "tau_direct",
+    "sigma", "solve_linear", "tau_direct",
     "tau_niebur", "tau_pentagonal", "tau_relation_report", "to_eisenstein", "weight",
 ]
 

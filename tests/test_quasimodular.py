@@ -8,7 +8,6 @@ from descmat.linalg import (
     SingularSystemError,
     _primitive,
     int_row_rank,
-    solve_exact,
 )
 from descmat.matroid import descendent_labels, descendent_matrix
 from descmat.qseries import (
@@ -30,7 +29,7 @@ from descmat.quasimodular import (
     qm_dimension,
 )
 from descmat.shifted import bernoulli
-from oracles import partition_sum
+from oracles import partition_sum, solve_exact
 
 
 def test_dimensions():
