@@ -128,18 +128,37 @@ def _scaled_constant(j: int) -> int:
 
 @cache
 def _scaled_power_sums(j: int, d: int) -> tuple[int, ...]:
-    """N_j * p_j(lam) for every partition lam of d, in the frozen order."""
+    """N_j * p_j(lam) for every partition lam of d, in the frozen order.
+
+    Taking the last box, of content c, off lam leaves the partition lam-
+    of d - 1 that :func:`_last_boxes` names, and
+    p_j(lam) - p_j(lam-) = (c + 1/2)^j - (c - 1/2)^j, the constant c_j
+    cancelling.  So each entry is one entry of the degree-(d - 1) row
+    plus (N_j / 2^j) * ((2c + 1)^j - (2c - 1)^j), from N_j * c_j at d = 0.
+    """
+    if d == 0:
+        return (_scaled_constant(j),)
+    parents = _scaled_power_sums(j, d - 1)
     num_scale = _power_sum_scale(j) >> j
-    const = _scaled_constant(j)
-    # (2 lam_i - 2i + 1)^j is powers[lam_i - i + d], and (1 - 2i)^j is powers[d - i]
-    powers = [a**j for a in range(1 - 2 * d, 2 * d, 2)]
-    out = []
+    # a box's content c runs over 1 - d .. d - 1, and its step is steps[c + d - 1]
+    steps = [num_scale * ((2 * c + 1) ** j - (2 * c - 1) ** j) for c in range(1 - d, d)]
+    return tuple(parents[p] + steps[c + d - 1] for p, c in _last_boxes(d))
+
+
+@cache
+def _last_boxes(d: int) -> tuple[tuple[int, int], ...]:
+    """(parent, content) for each partition lam of d >= 1, in the frozen order.
+
+    The last box of lam ends its last row l, at content lam_l - l; taking
+    it off leaves the partition ``partitions_of(d - 1)[parent]``.
+    """
+    index = {lam: i for i, lam in enumerate(partitions_of(d - 1))}
+    boxes = []
     for lam in partitions_of(d):
-        num = 0
-        for i, part in enumerate(lam, start=1):
-            num += powers[part - i + d] - powers[d - i]
-        out.append(num * num_scale + const)
-    return tuple(out)
+        last = lam[-1]
+        parent = lam[:-1] + (last - 1,) if last > 1 else lam[:-1]
+        boxes.append((index[parent], last - len(lam)))
+    return tuple(boxes)
 
 
 def bracket_series(label, order: int) -> QSeries:

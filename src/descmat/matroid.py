@@ -6,7 +6,7 @@ column (:func:`~descmat.linalg._primitive`), and the rational columns and
 the row-major matrix are views rebuilt from the two.  Independence means
 exact linear independence, which no column scale changes, so every rank,
 the dual (eliminated once, on first use) and the subset search below
-read the integer columns alone and take the package's one elimination
+read the integer columns alone and take the package's elimination
 step, :func:`~descmat.linalg._pivot`.  The weight-k descendent matroid
 is built from the Eisenstein coordinate columns of every weight-k label
 in the frozen ground-set order.
@@ -16,24 +16,30 @@ subset enumeration, a depth-first search over the ground set.  Each
 prefix carries the rows of its eliminated column matrix, cut to the
 columns after its last index, so a child's rank test is a lookup and
 extending the prefix is one pivot step.  The last two levels take no
-step: a prefix two short of the size sought sorts its later columns into
-parallel classes, which give the rank of every single and pair after it.
-Nor does a prefix ending at the last column, which has no child: its
-column in the parent's rows gives its rank.  Before its first step the
-search refuses work above ``ENUMERATION_CAP``, still counted as
-candidate subsets times rank³ (the cost of one
-elimination per subset; full weight 12, at 4×10⁷, takes about 0.2 s on a
-2-vCPU VM), so that every accepted or refused enumeration keeps its
-verdict.
+step: a prefix two short of the size sought is a group, which carries
+its own rows, and a single or pair after it adds the rank of its
+columns in those rows, read off minors.  A column has rank 1 when it is
+nonzero; a pair of columns has rank 2 when one of its 2×2 minors is
+nonzero, which in the two rows of an independent (r − 2)-prefix of a
+rank-r matroid with r rows is x_a·y_b ≠ x_b·y_a.  Those rows meet no
+other test, so the group's own step is the pivot's two-term update
+without the content division.  Nor does a prefix ending at the last
+column, which has no child, take a step: its column in the parent's rows
+gives its rank.  Before its first step the search refuses work above
+``ENUMERATION_CAP``, still counted as candidate subsets times rank³ (the
+cost of one elimination per subset; full weight 12, at 4×10⁷, counts
+its bases in about 0.25 s on a shared 2-vCPU VM), so that every
+accepted or refused enumeration keeps its verdict.
 
 Counts, uniformity and the Tutte polynomial read one tally of subsets by
-(size, rank) off those classes, on the smaller side: when 2r > n, on the
+(size, rank) off those groups, on the smaller side: when 2r > n, on the
 dual, whose n − r rows come from the same pivot step.
 """
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd
+from itertools import combinations
+from math import comb
 
 from .descendents import eisenstein_coordinates
 from .linalg import _echelon, _pivot, _primitive, int_row_rank
@@ -174,9 +180,9 @@ class LinearMatroid:
         """(size, rank, multiplicity) triples counting the subsets of each size in ``sizes``.
 
         A :func:`_subset_groups` group with z nonzero and ``zeros`` zero later
-        columns, and P = Σ C(m, 2) over its parallel classes, has z singles at
-        rank + 1 and ``zeros`` at rank, and C(z, 2) − P pairs at rank + 2,
-        z·zeros + P at rank + 1 and C(zeros, 2) at rank; a count may be 0.
+        columns, and P independent pairs among them, has z singles at rank
+        + 1 and ``zeros`` at rank, and P pairs at rank + 2, C(z, 2) − P +
+        z·zeros at rank + 1 and C(zeros, 2) at rank; a count may be 0.
         Subsets that come alone are tallied after the groups (of the largest
         size, only the empty set comes alone).  When 2r > n the dual is
         searched and capped: a dual subset of size s and rank ρ* is the
@@ -189,21 +195,21 @@ class LinearMatroid:
             return
         self._check_cap(sizes)
         wanted, alone = set(sizes), {}
-        for idxs, rank, ids in _subset_groups(self._int_columns, self.nrows, sizes):
+        for idxs, rank, rows in _subset_groups(self._int_columns, self.nrows, sizes):
             size = len(idxs)
-            if ids is None:
+            if rows is None:
                 alone[size, rank] = alone.get((size, rank), 0) + 1
                 continue
-            classes = Counter(ids)
-            zeros = classes.pop(0, 0)
-            z = len(ids) - zeros
+            nonzero = _nonzero_columns(rows)
+            z = len(nonzero)
+            zeros = n - (idxs[-1] + 1 if idxs else 0) - z
             if size + 1 in wanted:
                 yield size + 1, rank + 1, z
                 yield size + 1, rank, zeros
             if size + 2 in wanted:
-                parallel = sum(comb(m, 2) for m in classes.values())
-                yield size + 2, rank + 2, comb(z, 2) - parallel
-                yield size + 2, rank + 1, z * zeros + parallel
+                pairs = sum(1 for _ in _independent_pairs(nonzero))
+                yield size + 2, rank + 2, pairs
+                yield size + 2, rank + 1, comb(z, 2) - pairs + z * zeros
                 yield size + 2, rank, comb(zeros, 2)
         for (size, rank), mult in alone.items():
             yield size, rank, mult
@@ -212,18 +218,17 @@ class LinearMatroid:
         """All bases, in lexicographic order of label indices."""
         r, labels = self.rank(), self.labels
         self._check_cap((r,))
-        for idxs, rank, ids in _subset_groups(self._int_columns, self.nrows, (r,)):
-            if ids is None:  # the empty basis, when r = 0
+        for idxs, rank, rows in _subset_groups(self._int_columns, self.nrows, (r,)):
+            if rows is None:  # the empty basis, when r = 0
                 yield ()
             elif rank == len(idxs):  # an independent (r − 2)-prefix, or the root when r = 1
                 prefix = tuple(labels[i] for i in idxs)
-                first = idxs[-1] + 1 if idxs else 0
-                later = [(labels[c], i) for c, i in enumerate(ids, first) if i]
+                later = labels[idxs[-1] + 1 :] if idxs else labels
+                nonzero = _nonzero_columns(rows)
                 if rank == r - 1:
-                    yield from (prefix + (a,) for a, _ in later)
+                    yield from (prefix + (later[a],) for a, _ in nonzero)
                     continue
-                for k, (a, i) in enumerate(later, 1):
-                    yield from (prefix + (a, b) for b, j in later[k:] if j != i)
+                yield from (prefix + (later[a], later[b]) for a, b in _independent_pairs(nonzero))
 
     def bases_count(self) -> int:
         r = self.rank()
@@ -286,15 +291,16 @@ def _subset_groups(columns, nrows: int, sizes):
     carries the rows of its eliminated column matrix, cut to the columns
     after its last index; :func:`_pivot` at the next index gives a child's
     rows and whether its rank grew, except for a child at the last index,
-    whose rank grew exactly when its column is nonzero.  Prefixes stop two short of the
-    largest wanted size (at the root when that size is 1 or 2), and each
-    such prefix comes as (idxs, rank, ids): ids holds the
-    :func:`_parallel_classes` of its rows, one per column after its last
-    index, so the last two levels take no pivot.  idxs + (a,) has rank +
-    [ids_a ≠ 0], and idxs + (a, b) has rank + [ids_a ≠ 0] + [ids_b ∉ {0,
-    ids_a}].  A wanted subset that is itself a prefix comes alone, as
-    (idxs, rank, None), ahead of its group; when the largest wanted size
-    is 0 that is the empty set and there is no group.
+    whose rank grew exactly when its column is nonzero.  Prefixes stop two
+    short of the largest wanted size (at the root when that size is 1 or
+    2), and each such prefix comes as a group (idxs, rank, rows): its own
+    rows, cut to the columns after its last index, which its step,
+    :func:`_leaf_rows`, leaves without the content division.  idxs + (a,)
+    and idxs + (a, b) then have rank + the rank of those columns in the
+    rows, which :func:`_nonzero_columns` and :func:`_independent_pairs`
+    read off minors, so the last two levels take no step.  A wanted subset that is itself a prefix comes alone,
+    as (idxs, rank, None), ahead of its group; when the largest wanted
+    size is 0 that is the empty set and there is no group.
     """
     n = len(columns)
     wanted = set(sizes)
@@ -305,42 +311,69 @@ def _subset_groups(columns, nrows: int, sizes):
     stack = [((), [[col[i] for col in columns] for i in range(nrows)], 0, 0)]
     while stack:
         idxs, rows, rank, start = stack.pop()
+        size = len(idxs)
         if idxs and idxs[-1] == n - 1:  # childless: its column is the parent's last
             rank += any(row[-1] for row in rows)
             rows = []
+        elif idxs and size + 2 == top:  # a group's own step: its rows meet only minors
+            grew, rows = _leaf_rows(rows, idxs[-1] - start)
+            rank += grew
         elif idxs:
             pivot, rows = _pivot(rows, idxs[-1] - start)
             rank += pivot is not None
-        size = len(idxs)
         if size in wanted:
             yield idxs, rank, None
         if size == top:
             continue
         first = idxs[-1] + 1 if idxs else 0
         if size + 2 >= top:
-            yield idxs, rank, _parallel_classes(rows, n - first)
+            yield idxs, rank, rows
             continue
         children = range(first, n - room[size] + 1)
         stack += ((idxs + (c,), rows, rank, first) for c in reversed(children))
 
 
-def _parallel_classes(rows, width: int) -> list[int]:
-    """Class id of each of the ``width`` columns of integer ``rows``.
+def _leaf_rows(rows, c):
+    """:func:`_pivot`'s two-term update at column ``c``, without the content division.
 
-    0 for a zero column; otherwise one id per primitive integer vector,
-    its sign fixed by its first nonzero entry, so two columns share an id
-    exactly when they are parallel.  Keys are built by gcd and floor
-    division alone.
+    Returns (whether column c is nonzero, the rows cut to the columns
+    after c).  A group's rows only meet zero tests and 2×2 minors, which
+    no nonzero row factor changes, so the rebuilt rows keep their content.
     """
-    ids, classes = [0] * width, {}
-    for c, col in enumerate(zip(*rows)):
-        g = gcd(*col)
-        if g:
-            if next(filter(None, col)) < 0:
-                g = -g
-            key = col if g == 1 else tuple([x // g for x in col])
-            ids[c] = classes.setdefault(key, len(classes) + 1)
-    return ids
+    for p, row in enumerate(rows):
+        if row[c]:
+            break
+    else:
+        return False, [row[c + 1 :] for row in rows]
+    tp, tail = rows[p][c], rows[p][c + 1 :]
+    return True, [
+        [tp * x - t * y for x, y in zip(row[c + 1 :], tail)] if (t := row[c]) else row[c + 1 :]
+        for row in rows[:p] + rows[p + 1 :]
+    ]
+
+
+def _nonzero_columns(rows) -> list:
+    """(c, column) for each nonzero column c of integer ``rows``: the columns of rank 1."""
+    return [(c, col) for c, col in enumerate(zip(*rows)) if any(col)]
+
+
+def _independent_pairs(columns):
+    """(a, b), a < b, for each pair of :func:`_nonzero_columns` of rank 2.
+
+    Two columns have rank 2 exactly when one of their 2×2 minors is
+    nonzero: in two rows x and y, when x_a·y_b ≠ x_b·y_a.
+    """
+    if columns and len(columns[0][1]) == 2:  # the one minor, unrolled
+        for k, (a, (xa, ya)) in enumerate(columns, 1):
+            for b, (xb, yb) in columns[k:]:
+                if xa * yb != xb * ya:
+                    yield a, b
+        return
+    minors = list(combinations(range(len(columns[0][1])), 2)) if columns else []
+    for k, (a, u) in enumerate(columns, 1):
+        for b, v in columns[k:]:
+            if any(u[i] * v[j] != u[j] * v[i] for i, j in minors):
+                yield a, b
 
 
 def descendent_labels(k: int, positive: bool = False) -> tuple:

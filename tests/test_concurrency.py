@@ -5,9 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 
-from descmat.partitions import partition_count
+from descmat.partitions import partition_count, partitions_of
 from descmat.shifted import bernoulli
-from descmat.descendents import _scaled_power_sums, eisenstein_coordinates, gw_invariant
+from descmat.descendents import _power_sum_scale, _scaled_power_sums, eisenstein_coordinates, gw_invariant
 from descmat.matroid import descendent_labels, named_restriction
 from oracles import shifted_power_sum
 from test_cli import fresh_python
@@ -74,6 +74,10 @@ def test_kernel_tables_survive_racing_first_builds():
     clear_build_memos()
     assert rows == [_scaled_power_sums(*key) for key in keys]
     assert coords == [eisenstein_coordinates(label) for label in labels]
+    # each row, built from the row below it, is N_j times the oracle's sums
+    for (j, d), row in zip(keys[::8], rows[::8]):
+        expected = [_power_sum_scale(j) * shifted_power_sum(j, lam) for lam in partitions_of(d)]
+        assert list(row) == expected, (j, d)
 
 
 def test_the_cached_dual_survives_racing_first_builds():

@@ -222,7 +222,11 @@ def test_odd_weight_invariants_vanish(label):
 
 
 def clear_build_memos():
-    """Empty every memo the descendent and quasimodular modules hold or import."""
+    """Empty every memo the descendent and quasimodular modules hold or import.
+
+    ``descendents._last_boxes``, the parent of each partition that the
+    power-sum rows are built from, is among them.
+    """
     for module in (descendents, quasimodular):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -393,17 +394,22 @@ def test_is_uniform_stops_at_the_first_dependent_subset(monkeypatch):
 
 def _group_subsets(of, sizes):
     """(idxs, rank) of every subset of ``of`` with a size in ``sizes``, expanded
-    from the uncapped :func:`matroid._subset_groups` by the single and pair rule."""
-    for idxs, rank, ids in matroid._subset_groups(of._int_columns, of.nrows, sizes):
-        if ids is None:
+    from the uncapped :func:`matroid._subset_groups` by the single and pair minors."""
+    for idxs, rank, rows in matroid._subset_groups(of._int_columns, of.nrows, sizes):
+        if rows is None:
             yield idxs, rank
             continue
-        later = list(enumerate(ids, idxs[-1] + 1 if idxs else 0))
+        first = idxs[-1] + 1 if idxs else 0
+        later = range(len(of) - first)
+        nonzero = matroid._nonzero_columns(rows)
+        single = {a for a, _ in nonzero}
         if len(idxs) + 1 in sizes:
-            yield from ((idxs + (a,), rank + (i != 0)) for a, i in later)
+            yield from ((idxs + (first + a,), rank + (a in single)) for a in later)
         if len(idxs) + 2 in sizes:
-            for k, (a, i) in enumerate(later, 1):
-                yield from ((idxs + (a, b), rank + (i != 0) + (j not in (0, i))) for b, j in later[k:])
+            independent = set(matroid._independent_pairs(nonzero))
+            for a, b in combinations(later, 2):
+                pair = 2 if (a, b) in independent else (a in single or b in single)
+                yield idxs + (first + a, first + b), rank + pair
 
 
 def _seeded_restriction(seed, size=12):
@@ -689,10 +695,10 @@ def test_pivot_eliminates_a_prefix(data):
             assert fraction_gauss_rank(reduced) == rank(prefix + list(subset)) - rank(prefix)
 
 
-@settings(max_examples=150)
+@settings(max_examples=200)
 @given(st.data())
-def test_group_classes_give_every_single_and_pair_rank(data):
-    nrows = data.draw(st.integers(1, 4), label="nrows")
+def test_group_minors_give_every_single_and_pair_rank(data):
+    nrows = data.draw(st.integers(1, 5), label="nrows")
     entry = st.integers(-3, 3) | st.integers(-(2**64), 2**64)
     columns = []
     for _ in range(data.draw(st.integers(1, 8), label="n")):
@@ -704,12 +710,14 @@ def test_group_classes_give_every_single_and_pair_rank(data):
         else:  # v beside -v, 3v, ...
             col, factor = data.draw(st.sampled_from(columns)), data.draw(st.sampled_from((-1, 3, -3, 2)))
             columns.append([factor * x for x in col])
-    # a row that is a combination of others keeps nrows above the rank
-    if data.draw(st.booleans(), label="dependent row"):
+    # rows that are combinations of others keep nrows above the rank, so
+    # groups of three or more rows come from prefixes of every rank
+    for _ in range(data.draw(st.integers(0, 2), label="dependent rows")):
         a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+        i, j = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, nrows - 1))
         for col in columns:
-            col.append(a * col[0] + b * col[-1])
-    n = len(columns)
+            col.append(a * col[i] + b * col[j])
+    n, height = len(columns), len(columns[0])
     top = data.draw(st.integers(1, n), label="largest size")
     sizes = {top} | data.draw(st.sets(st.integers(0, top)), label="sizes")
 
@@ -717,58 +725,73 @@ def test_group_classes_give_every_single_and_pair_rank(data):
         return fraction_gauss_rank([columns[j] for j in idxs])
 
     groups = 0
-    for idxs, r, ids in matroid._subset_groups(columns, len(columns[0]), sizes):
+    for idxs, r, rows in matroid._subset_groups(columns, height, sizes):
         assert r == rank(idxs)
-        if ids is None:
+        if rows is None:
             continue
         groups += 1
         first = idxs[-1] + 1 if idxs else 0
-        assert len(idxs) == max(top - 2, 0) and len(ids) == n - first
-        for a, i in enumerate(ids, first):
-            assert rank(idxs + (a,)) == r + (i != 0)
-            for b, j in enumerate(ids[a - first + 1 :], a + 1):
-                assert rank(idxs + (a, b)) == r + (i != 0) + (j != 0 and j != i)
+        assert len(idxs) == max(top - 2, 0)
+        # a group keeps one row per coordinate its prefix leaves unpivoted
+        assert len(rows) == (height - r if idxs[-1:] != (n - 1,) else 0)
+        assert all(len(row) == n - first for row in rows)
+        nonzero = matroid._nonzero_columns(rows)
+        single = {first + a for a, _ in nonzero}
+        independent = {(first + a, first + b) for a, b in matroid._independent_pairs(nonzero)}
+        for a in range(first, n):
+            assert rank(idxs + (a,)) == r + (a in single)
+            for b in range(a + 1, n):
+                pair = 2 if (a, b) in independent else (a in single or b in single)
+                assert rank(idxs + (a, b)) == r + pair
     assert groups > 0
     m = LinearMatroid(columns, range(n))
     assert m.bases_count() == len(list(m.bases()))
+
+
+def count_elimination_steps(monkeypatch):
+    """Count the subset search's elimination steps: :func:`_pivot` and the groups' own step."""
+    calls = Counter()
+    for name in ("_pivot", "_leaf_rows"):
+        real = getattr(matroid, name)
+
+        def counted(rows, c, name=name, real=real):
+            calls[name] += 1
+            return real(rows, c)
+
+        monkeypatch.setattr(matroid, name, counted)
+    return calls
 
 
 def test_bases_count_pivots_only_above_the_last_two_levels(monkeypatch):
     m = descendent_matrix(12)
     n, r = len(m), m.rank()
     assert (n, r) == (21, 7)
-    calls = 0
-    real_pivot = matroid._pivot
-
-    def counted(rows, c):
-        nonlocal calls
-        calls += 1
-        return real_pivot(rows, c)
-
-    monkeypatch.setattr(matroid, "_pivot", counted)
+    calls = count_elimination_steps(monkeypatch)
     assert m.bases_count() == 102670
-    # a size-d prefix is pivoted only when its last index leaves room for the
-    # r - d indices still to come, which C(n - r + d, d) prefixes do; sizes 1
-    # to r - 2 are pivoted, since the last two levels are read off classes:
-    # 15 + 120 + 680 + 3060 + 11628 (r - 1 would add C(20, 6) = 38 760 more)
-    assert calls == sum(comb(n - r + d, d) for d in range(1, r - 1)) == 15503
+    # a size-d prefix is eliminated only when its last index leaves room for
+    # the r - d indices still to come, which C(n - r + d, d) prefixes do;
+    # sizes 1 to r - 2 take a step, the last of them the groups' own, since
+    # the last two levels are read off minors: 15 + 120 + 680 + 3060 + 11628
+    # (r - 1 would add C(20, 6) = 38 760 more)
+    assert calls == {"_pivot": 15 + 120 + 680 + 3060, "_leaf_rows": 11628}
+    assert calls.total() == sum(comb(n - r + d, d) for d in range(1, r - 1)) == 15503
 
 
 def test_childless_prefixes_take_no_pivot(monkeypatch):
     m = descendent_matrix(10)
     n = len(m)
     assert (n, m.rank()) == (12, 5)
-    calls = 0
-    real_pivot = matroid._pivot
-
-    def counted(rows, c):
-        nonlocal calls
-        calls += 1
-        return real_pivot(rows, c)
-
-    monkeypatch.setattr(matroid, "_pivot", counted)
+    calls = count_elimination_steps(monkeypatch)
     assert _tally(m._rank_counts(range(n + 1))) == _oracle_counts(m)
     # prefixes of sizes 1 to n - 2 are popped; those ending at n - 1 have no
     # child and read their rank off the parent, so only the 2^(n-1) - 2 of
-    # them inside the first n - 1 indices are pivoted (all of them took 4082)
-    assert calls == 2 ** (n - 1) - 2 == 2046
+    # them inside the first n - 1 indices take a step (all of them took 4082)
+    assert calls.total() == 2 ** (n - 1) - 2 == 2046
+
+
+def test_full_weight_twelve_bases_stream_is_pinned():
+    m = descendent_matrix(12)
+    assert m.bases_count() == 102670
+    # the lexicographic stream, as hashed at commit 6acfa62, before the leaves read minors
+    digest = hashlib.sha256(repr(list(m.bases())).encode()).hexdigest()
+    assert digest == "42345012ad6906fff47973b6906764c6d788a764c1a220a8ac7b0006ab6a3dd3"
