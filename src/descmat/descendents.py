@@ -19,24 +19,23 @@ that form.  Let base(k) = :func:`~descmat.quasimodular.base_order`.
   label's shared denominator, is a sum of integer products.  The totals
   for d <= base(k), times (q)_inf, are the bracket numerators the
   factored monomial solver divides once per coordinate.
-  :func:`gw_invariant` at d <= base(k) is one total over D_label.
 * :func:`bracket_series` is the form to any order, a memoized
   :class:`~descmat.qseries.QSeries` of integer numerators F over one
-  denominator D.  :func:`bracket_coefficient` reads it at the least order
-  base(k) * 2^j >= d, one form per doubling of a degree sweep, and so
-  does an invariant above base(k): the form divided by (q)_inf, that is
-  one integer dot product sum_m F_m p(d - m) over D.
+  denominator D.  A degree-d read takes it at the least order
+  base(k) * 2^j >= d, one form per doubling of a degree sweep, and
+  :func:`gw_invariant` is the form divided by (q)_inf there: one
+  integer dot product sum_m F_m p(d - m) over D, in every degree.
+
+The form of an odd-weight label is 0: conjugation gives
+p_k(lam') = (-1)^(k+1) p_k(lam), because the constant c_k vanishes for
+even k, so prod_i p_{k_i+1} changes sign under conjugation exactly when
+sum_i k_i, hence the weight, is odd, and the sum over all partitions of
+d, which conjugation permutes, is its own negative.  The form of the
+empty label is 1, so its invariants are the partition numbers p(d).
 
 The oracles live in the tests, not here: the same sum in Fractions
 checks the integer kernel and the lift, and the character double sum
 checks that sum.
-
-Two kinds of label skip the form.  An odd-weight label is 0 in
-every degree: conjugation gives p_k(lam') = (-1)^(k+1) p_k(lam), because
-the constant c_k vanishes for even k, so prod_i p_{k_i+1} changes sign
-under conjugation exactly when sum_i k_i, hence the weight, is odd; the
-sum over all partitions of d, which conjugation permutes, is then its
-own negative.  The empty label degenerates to the partition numbers p(d).
 """
 
 from fractions import Fraction
@@ -73,31 +72,14 @@ def weight(label) -> int:
 
 
 def gw_invariant(label, d: int) -> Fraction:
-    """Degree-d stationary descendent invariant, as an exact rational."""
-    label = as_label(label)
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    k = weight(label)
-    if k % 2:
-        return Fraction(0)
-    if not label:
-        return Fraction(partition_count(d))
-    if d <= base_order(k):
-        return _integer_partition_sum(label, d)
-    # the form F over D, divided by (q)_inf: sum_m F_m p(d - m) over D
-    form = _form_reaching(label, d)
+    """Degree-d stationary descendent invariant, as an exact rational.
+
+    The label's form F over D from :func:`_form_reaching`, divided by
+    (q)_inf: sum_m F_m p(d - m) over D.
+    """
+    form = _form_reaching(as_label(label), d)
     counts = map(partition_count, range(d, -1, -1))
     return Fraction(sum(map(mul, form.nums, counts)), form.den)
-
-
-def _lift_order(base: int, d: int) -> int:
-    """The least base * 2^j that is >= d, the order a degree-d value is read at."""
-    return base << (max(d - 1, 0) // base).bit_length()
-
-
-def _integer_partition_sum(label: DescendentLabel, d: int) -> Fraction:
-    """The partition sum over integers, one Fraction division per (label, d)."""
-    return Fraction(_partition_total(label, d), _label_scale(label))
 
 
 def _partition_total(label: DescendentLabel, d: int) -> int:
@@ -106,7 +88,7 @@ def _partition_total(label: DescendentLabel, d: int) -> int:
     It is ``_label_scale(label)`` times the degree-d invariant.
     """
     rows = [_scaled_power_sums(k + 1, d) for k in label]
-    return sum(map(prod, zip(*rows))) if rows else partition_count(d)
+    return sum(map(prod, zip(*rows)))
 
 
 def _label_scale(label: DescendentLabel) -> int:
@@ -121,12 +103,6 @@ def _power_sum_scale(j: int) -> int:
 
 
 @cache
-def _scaled_constant(j: int) -> int:
-    """N_j * c_j, the integer constant term of N_j * p_j."""
-    return int(pk_constant(j) * _power_sum_scale(j))
-
-
-@cache
 def _scaled_power_sums(j: int, d: int) -> tuple[int, ...]:
     """N_j * p_j(lam) for every partition lam of d, in the frozen order.
 
@@ -137,7 +113,7 @@ def _scaled_power_sums(j: int, d: int) -> tuple[int, ...]:
     plus (N_j / 2^j) * ((2c + 1)^j - (2c - 1)^j), from N_j * c_j at d = 0.
     """
     if d == 0:
-        return (_scaled_constant(j),)
+        return (int(pk_constant(j) * _power_sum_scale(j)),)
     parents = _scaled_power_sums(j, d - 1)
     num_scale = _power_sum_scale(j) >> j
     # a box's content c runs over 1 - d .. d - 1, and its step is steps[c + d - 1]
@@ -184,21 +160,17 @@ def _bracket_series(label: DescendentLabel, order: int) -> QSeries:
     return QSeries([sum(map(mul, weights, row)) for row in zip(*columns)], den=den)
 
 
-def bracket_coefficient(label, d: int) -> Fraction:
-    """sum_j (-1)^j <tau_label>_{d - j(3j-1)/2}, the degree-d bracket coefficient.
-
-    Read off the label's form at the least order base(k) * 2^j >= d.
-    """
-    form = _form_reaching(as_label(label), d)
-    return Fraction(form.nums[d], form.den)
-
-
 def _form_reaching(label: DescendentLabel, d: int) -> QSeries:
-    """The label's form at the order :func:`bracket_coefficient` reads degree d at."""
+    """The label's form at the least order base(k) * 2^j >= d, where degree d is read.
+
+    Every degree-d read of a label takes this form; the base of an odd
+    weight k is that of k - 1.
+    """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     k = weight(label)
-    return _bracket_series(label, _lift_order(base_order(k - k % 2), d))
+    base = base_order(k - k % 2)
+    return _bracket_series(label, base << (max(d - 1, 0) // base).bit_length())
 
 
 def eisenstein_coordinates(label) -> tuple[Fraction, ...]:

@@ -5,9 +5,10 @@ import pytest
 
 from descmat import descendents, quasimodular
 from descmat.descendents import (
-    _integer_partition_sum,
+    _form_reaching,
+    _label_scale,
+    _partition_total,
     as_label,
-    bracket_coefficient,
     bracket_series,
     eisenstein_coordinates,
     gw_invariant,
@@ -45,8 +46,9 @@ def test_gw_published_values():
 
 
 def test_single_tau_zero_closed_form():
-    # <tau_0>_d = p(d) (d - 1/24)
-    for d in range(10):
+    # <tau_0>_d = p(d) (d - 1/24), the point case of the divisor equation; the
+    # degrees cross every doubling boundary of the read up to the CLI degree cap
+    for d in range(501):
         assert gw_invariant((0,), d) == partition_count(d) * (d - Fraction(1, 24))
     assert gw_invariant((0,), 2) == Fraction(47, 12)
 
@@ -197,19 +199,19 @@ def test_bracket_coefficient_matches_the_partition_sum_oracle(label):
     order = 2 * base + 1
     oracle = euler_function(order) * QSeries([partition_sum(label, d) for d in range(order + 1)])
     for d in (0, 1, base, base + 1, 2 * base, 2 * base + 1):
-        assert bracket_coefficient(label, d) == oracle[d], d
+        assert _form_reaching(label, d)[d] == oracle[d], d
 
 
 def test_bracket_coefficient_of_the_empty_and_an_odd_weight_label():
-    assert [bracket_coefficient((), d) for d in range(14)] == [1] + [0] * 13
+    assert [_form_reaching((), d)[d] for d in range(14)] == [1] + [0] * 13
     assert weight((2, 1)) % 2
-    assert [bracket_coefficient((2, 1), d) for d in range(30)] == [0] * 30
+    assert [_form_reaching((2, 1), d)[d] for d in range(30)] == [0] * 30
     # a negative order or degree is refused for every kind of label
     for label in ((), (2, 1), (2, 2), (0,)):
         with pytest.raises(ValueError):
             bracket_series(label, -1)
         with pytest.raises(ValueError):
-            bracket_coefficient(label, -1)
+            _form_reaching(label, -1)
         with pytest.raises(ValueError):
             gw_invariant(label, -1)
 
@@ -241,10 +243,15 @@ def labels_of_weight(k):
 def test_integer_kernel_matches_the_fraction_partition_sum():
     # A kernel that drops the constant c_j, or leaves one N_j out of the
     # final division, fails this on its first nonempty label, (0,).
-    for k in range(17):
+    # The empty label has no totals; its invariants are read from its form.
+    for d in range(base_order(0) + 1):
+        assert gw_invariant((), d) == partition_sum((), d), d
+    for k in range(1, 17):
         for label in labels_of_weight(k):
+            scale = _label_scale(label)
             for d in range(base_order(k - k % 2) + 1):
-                assert _integer_partition_sum(label, d) == partition_sum(label, d), (label, d)
+                total = Fraction(_partition_total(label, d), scale)
+                assert total == partition_sum(label, d), (label, d)
 
 
 def forbidden(name):
@@ -273,10 +280,23 @@ def test_cold_matrix_build_takes_the_integer_routes(monkeypatch):
     assert descendent_matrix(16).rank() == qm_dimension(16)
 
 
+def test_invariants_at_and_below_the_base_read_the_form(monkeypatch):
+    # once a label's coordinates are solved, no read needs the partition totals
+    labels = [(2,), (2, 0), (3, 1), (4, 2), (6, 2), (6, 4)]
+    clear_build_memos()
+    for label in labels:
+        eisenstein_coordinates(label)
+    forbid_everywhere(monkeypatch, ("_partition_total", "_scaled_power_sums"))
+    for label in labels + [(), (2, 1)]:
+        k = weight(label)
+        for d in range(base_order(k - k % 2) + 1):
+            assert gw_invariant(label, d) == partition_sum(label, d), (label, d)
+
+
 def test_bracket_series_and_tau_read_the_form_alone(monkeypatch):
     rows = all_positive_decompositions(12)
     clear_build_memos()
-    forbid_everywhere(monkeypatch, ("_integer_partition_sum", "gw_invariant"))
+    forbid_everywhere(monkeypatch, ("gw_invariant",))
     for d in range(25, 33):
         expected = tau_niebur(d)
         for key, dec in rows:
