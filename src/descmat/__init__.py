@@ -46,10 +46,12 @@ _EXPORTS = {
         "named_restriction",
     ),
     "partitions": (
+        "bernoulli",
         "partition_count",
         "partitions_min_two",
         "partitions_of",
         "pentagonal_pairs",
+        "pk_constant",
     ),
     "qseries": (
         "QSeries",
@@ -68,7 +70,6 @@ _EXPORTS = {
         "monomial_series",
         "qm_dimension",
     ),
-    "shifted": ("bernoulli", "pk_constant"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -21,10 +21,12 @@ _TRIPLE_TYPES = [1, 2, 3, 4, 5, 6, 7, 8]  # sorted(decomposition.GENERATOR_TRIPL
 
 # `tau --d`, `evaluate --degree`, `expand --order` and `tau-check --max-d`
 # cost grows at least quadratically with the degree; at 500 the slowest
-# route takes about 3 s on a 2-vCPU VM
+# route, a weight-18 label such as `evaluate --insertions 6,4,2`, takes
+# about 0.75 s cold on a 2-vCPU Xeon VM
 _MAX_DEGREE = 500
 # `matroid` and `conjecture-check` list every partition of each weight up to
-# --max-weight; a cold weight-26 matrix takes about 4 s on a 2-vCPU VM
+# --max-weight; a cold weight-26 matrix and its rank take about 3 s on a
+# 2-vCPU Xeon VM
 _MAX_WEIGHT_CEILING = 26
 
 

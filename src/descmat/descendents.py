@@ -44,7 +44,7 @@ from math import factorial, lcm, prod
 from operator import mul
 
 from .linalg import _over_common_denominator
-from .partitions import partition_count, partitions_of
+from .partitions import partition_count, partitions_of, pk_constant
 from .qseries import QSeries, convolve, euler_function
 from .quasimodular import (
     EisensteinMonomial,
@@ -53,7 +53,6 @@ from .quasimodular import (
     base_order,
     eisenstein_monomials,
 )
-from .shifted import pk_constant
 
 DescendentLabel = tuple[int, ...]
 

@@ -1,4 +1,4 @@
-"""Integer partitions and the combinatorial indexing built on them.
+"""Integer partitions, p(n), and the Bernoulli numbers.
 
 A partition is a plain tuple of weakly decreasing positive integers; the
 empty tuple is the unique partition of 0.  The enumeration order of
@@ -7,12 +7,21 @@ first and ``(1, ..., 1)`` last.  Every ground-set order and table index
 in this package refers back to that order, so it is a documented contract
 rather than an implementation detail.
 
-All functions are pure.  The memo tables are append-only and their writes
-are idempotent, so racing first calls at worst recompute equal values.
+The order-k shifted power sum of a partition lam is
+sum_i [(lam_i - i + 1/2)^k - (-i + 1/2)^k] + c_k; the package tabulates
+it in integers (:func:`descmat.descendents._scaled_power_sums`) and
+takes only c_k = (1 - 2^-k) zeta(-k) from here.
+
+All functions are pure and exact.  p(n) and the Bernoulli numbers are
+prefix lists, ``_pcount`` and ``_bernoulli``, that grow through
+:func:`_grown` under one lock, because list indices are positional;
+neither step reads the other list.  The ``@cache`` memo is idempotent.
 """
 
 import threading
+from fractions import Fraction
 from functools import cache
+from math import comb
 
 Partition = tuple[int, ...]
 
@@ -46,40 +55,35 @@ def partitions_min_two(k: int) -> tuple[Partition, ...]:
 
 
 _pcount: list[int] = [1]
-_pcount_lock = threading.Lock()
+_bernoulli: list[Fraction] = [Fraction(1)]
+_table_lock = threading.Lock()
+
+
+def _grown(table: list, n: int, step) -> list:
+    """``table`` once index n exists, each entry appended as ``step(table)``."""
+    if len(table) <= n:
+        with _table_lock:
+            while len(table) <= n:
+                table.append(step(table))
+    return table
+
+
+def _next_pcount(p: list[int]) -> int:
+    """p(n) = sum (-1)^(j+1) p(m) over the pentagonal pairs (j, m) of n, j != 0."""
+    return sum(p[m] if j % 2 else -p[m] for j, m in pentagonal_pairs(len(p)) if j)
+
+
+def _next_bernoulli(b: list[Fraction]) -> Fraction:
+    """B_n from sum_{j=0}^{n} C(n+1, j) B_j = 0."""
+    n = len(b)
+    return Fraction(-sum(comb(n + 1, j) * b[j] for j in range(n)), n + 1)
 
 
 def partition_count(d: int) -> int:
-    """p(d) via the pentagonal-number recurrence.
-
-    Deliberately independent of ``partitions_of`` so the two can be
-    cross-checked against each other.  The prefix cache grows under a
-    lock: list indices are positional, so appends must not race.
-    """
+    """p(d) by the pentagonal recurrence, independent of its cross-check ``partitions_of``."""
     if d < 0:
         raise ValueError("p(d) requires d >= 0")
-    if len(_pcount) <= d:
-        with _pcount_lock:
-            _extend_pcount(d)
-    return _pcount[d]
-
-
-def _extend_pcount(d: int) -> None:
-    while len(_pcount) <= d:
-        n = len(_pcount)
-        total = 0
-        j = 1
-        while True:
-            g = j * (3 * j - 1) // 2
-            if g > n:
-                break
-            sign = -1 if j % 2 == 0 else 1
-            total += sign * _pcount[n - g]
-            g2 = j * (3 * j + 1) // 2
-            if g2 <= n:
-                total += sign * _pcount[n - g2]
-            j += 1
-        _pcount.append(total)
+    return _grown(_pcount, d, _next_pcount)[d]
 
 
 def pentagonal_pairs(d: int) -> list[tuple[int, int]]:
@@ -102,3 +106,18 @@ def pentagonal_pairs(d: int) -> list[tuple[int, int]]:
             pairs.append((-j, d - g_neg))
         j += 1
     return pairs
+
+
+def bernoulli(k: int) -> Fraction:
+    """Exact k-th Bernoulli number (B_1 = -1/2 convention)."""
+    if k < 0:
+        raise ValueError("Bernoulli numbers are indexed by k >= 0")
+    return _grown(_bernoulli, k, _next_bernoulli)[k]
+
+
+def pk_constant(k: int) -> Fraction:
+    """Constant term c_k = -(1 - 2^-k) B_{k+1} / (k+1) of the order-k shifted
+    power sum: c_1 = -1/24, and c_k = 0 exactly for even k."""
+    if k < 1:
+        raise ValueError("shifted power sums are indexed by k >= 1")
+    return -(1 - Fraction(1, 2**k)) * bernoulli(k + 1) / (k + 1)

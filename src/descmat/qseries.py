@@ -14,8 +14,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .linalg import _over_common_denominator
-from .partitions import partition_count, pentagonal_pairs
-from .shifted import bernoulli
+from .partitions import bernoulli, partition_count, pentagonal_pairs
 
 
 def fraction_str(x) -> str:

@@ -12,8 +12,7 @@ The solver factors those integer columns, read off the monomial series
 themselves.
 """
 
-from functools import cache, reduce
-from operator import mul
+from functools import cache
 from typing import NamedTuple
 
 from .linalg import factor_columns
@@ -75,9 +74,17 @@ def eisenstein_monomials(k: int) -> tuple[EisensteinMonomial, ...]:
 
 @cache
 def monomial_series(mono: EisensteinMonomial, order: int) -> QSeries:
-    """q-expansion of one Eisenstein monomial, the product of its generator series."""
-    factors = [eisenstein_series(w, order) for w in mono.weight_tuple()]
-    return reduce(mul, factors) if factors else QSeries([1], order=order)
+    """q-expansion of one Eisenstein monomial.
+
+    Its heaviest generator (E6, then E4, then E2) times the memoized
+    monomial without it; a lone generator is its own series.
+    """
+    if not any(mono):
+        return QSeries([1], order=order)
+    a, b, c = mono
+    w, rest = (6, (a, b, c - 1)) if c else (4, (a, b - 1, 0)) if b else (2, (a - 1, 0, 0))
+    head = eisenstein_series(w, order)
+    return head * monomial_series(EisensteinMonomial(*rest), order) if any(rest) else head
 
 
 def expand_in_eisenstein(series: QSeries, k: int):

@@ -15,8 +15,7 @@ from math import factorial, prod
 
 from descmat.descendents import as_label
 from descmat.linalg import InconsistentSystemError, _primitive, _solve
-from descmat.partitions import partitions_of
-from descmat.shifted import pk_constant
+from descmat.partitions import partitions_of, pk_constant
 
 
 def solve_exact(columns, target) -> list[Fraction]:

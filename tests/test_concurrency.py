@@ -5,8 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 
-from descmat.partitions import partition_count, partitions_of
-from descmat.shifted import bernoulli
+from descmat import partitions
+from descmat.partitions import bernoulli, partition_count, partitions_of
 from descmat.descendents import _power_sum_scale, _scaled_power_sums, eisenstein_coordinates, gw_invariant
 from descmat.matroid import descendent_labels, named_restriction
 from oracles import shifted_power_sum
@@ -43,6 +43,33 @@ def test_bernoulli_under_concurrent_growth():
         list(pool.map(bernoulli, range(40, 80)))
     for n in range(1, 80):
         assert sum(comb(n + 1, j) * bernoulli(j) for j in range(n + 1)) == 0
+
+
+def test_both_prefix_tables_grow_together_under_one_lock(monkeypatch):
+    # p(n) and the Bernoulli numbers, cut back to their first entry, grow
+    # through one lock in one pool; neither step may wait on the other
+    bernoulli_reference = [bernoulli(k) for k in range(60)]
+    monkeypatch.setattr(partitions, "_pcount", [1])
+    monkeypatch.setattr(partitions, "_bernoulli", [Fraction(1)])
+    pairs = zip(range(300, 200, -5), range(59, 19, -2))
+    jobs = [job for n, k in pairs for job in ((partition_count, n), (bernoulli, k))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda job: job[0](job[1]), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    p = reference_partition_counts(300)
+    expected = [p[n] if fn is partition_count else bernoulli_reference[n] for fn, n in jobs]
+    assert results == expected
+    assert partitions._pcount == p
+    assert partitions._bernoulli == bernoulli_reference
+
+
+def test_partition_count_agrees_with_the_reference_recurrence_to_1000():
+    assert [partition_count(n) for n in range(1001)] == reference_partition_counts(1000)
+    assert partition_count(1000) == 24061467864032622473692149727991
 
 
 def test_memoized_evaluators_are_race_safe():
@@ -126,4 +153,4 @@ def held(name):
 print(len(names), all(s is not None and all(s[n] is held(n) for n in names) for s in seen))
 """
     proc = fresh_python(probe)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "51 True\n")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "50 True\n")

@@ -21,7 +21,6 @@ SUBMODULES = [
     "partitions",
     "qseries",
     "quasimodular",
-    "shifted",
 ]
 PUBLIC_NAMES = [
     "EisensteinMonomial", "GENERATOR_TRIPLES", "InconsistentSystemError",
@@ -34,7 +33,7 @@ PUBLIC_NAMES = [
     "gw_invariant", "inverse_euler", "linalg", "matroid",
     "monomial_series", "named_restriction", "partition_count", "partitions",
     "partitions_min_two", "partitions_of", "pentagonal_pairs", "pk_constant",
-    "poly_basis_expand", "qm_dimension", "qseries", "quasimodular", "shifted",
+    "poly_basis_expand", "qm_dimension", "qseries", "quasimodular",
     "sigma", "solve_linear", "tau_direct",
     "tau_niebur", "tau_pentagonal", "tau_relation_report", "to_eisenstein", "weight",
 ]
@@ -80,6 +79,8 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
         from descmat import no_such_name  # noqa: F401
     # the oracles are the tests' own (tests/oracles.py), not the package's
     assert find_spec("descmat.characters") is None
+    # bernoulli and pk_constant live in descmat.partitions
+    assert find_spec("descmat.shifted") is None
     moved = {"as_partition", "centralizer_order", "shifted_power_sum", "_partition_sum"}
     for module in SUBMODULES:
         assert not moved & set(vars(import_module(f"descmat.{module}"))), module

@@ -96,7 +96,7 @@ def test_eisenstein_constants_and_low_coefficients():
     assert eisenstein_series(4, 0)[0] == Fraction(1, 240)
     assert eisenstein_series(6, 0)[0] == Fraction(-1, 504)
     for k in (2, 4, 6, 8, 10, 12):
-        from descmat.shifted import bernoulli
+        from descmat.partitions import bernoulli
 
         assert eisenstein_series(k, 1)[0] == -bernoulli(k) / (2 * k)
 

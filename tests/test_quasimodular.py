@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from descmat import qseries
 from descmat.descendents import bracket_series
 from descmat.linalg import (
     InconsistentSystemError,
@@ -10,6 +11,7 @@ from descmat.linalg import (
     int_row_rank,
 )
 from descmat.matroid import descendent_labels, descendent_matrix
+from descmat.partitions import bernoulli
 from descmat.qseries import (
     QSeries,
     convolve,
@@ -28,7 +30,6 @@ from descmat.quasimodular import (
     monomial_series,
     qm_dimension,
 )
-from descmat.shifted import bernoulli
 from oracles import partition_sum, solve_exact
 
 
@@ -63,11 +64,30 @@ def test_monomial_orders_match_printed_rows():
 
 
 def test_monomial_series_multiplies_out():
-    mono = EisensteinMonomial(2, 1, 0)
-    expected = (
-        eisenstein_series(2, 8) * eisenstein_series(2, 8) * eisenstein_series(4, 8)
-    )
-    assert monomial_series(mono, 8) == expected
+    for k in range(2, 20, 2):
+        for mono in eisenstein_monomials(k):
+            expected = QSeries([1], order=30)
+            for w in mono.weight_tuple():
+                expected = expected * eisenstein_series(w, 30)
+            assert monomial_series(mono, 30) == expected, mono
+
+
+def test_monomials_share_their_lower_monomials(monkeypatch):
+    # each monomial is its heaviest generator times the memoized monomial
+    # without it, so a cold weight-18 block takes one product per monomial
+    # on those chains that is not a lone generator: 33, where multiplying
+    # each one out from its generators took 57
+    products = []
+
+    def counted(a, b):
+        products.append((a, b))
+        return convolve(a, b)
+
+    monkeypatch.setattr(qseries, "convolve", counted)
+    monomial_series.cache_clear()
+    _monomial_columns.cache_clear()
+    _monomial_columns(18, 64)
+    assert len(products) == 33
 
 
 def test_discriminant_expansion():

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from descmat.shifted import bernoulli, pk_constant
+from descmat.partitions import bernoulli, pk_constant
 from oracles import shifted_power_sum
 
 
