@@ -25,7 +25,7 @@ _TRIPLE_TYPES = [1, 2, 3, 4, 5, 6, 7, 8]  # sorted(decomposition.GENERATOR_TRIPL
 # about 0.75 s cold on a 2-vCPU Xeon VM
 _MAX_DEGREE = 500
 # `matroid` and `conjecture-check` list every partition of each weight up to
-# --max-weight; a cold weight-26 matrix and its rank take about 3 s on a
+# --max-weight; a cold weight-26 matrix and its rank take about 1.7 s on a
 # 2-vCPU Xeon VM
 _MAX_WEIGHT_CEILING = 26
 

@@ -84,10 +84,12 @@ def gw_invariant(label, d: int) -> Fraction:
 def _partition_total(label: DescendentLabel, d: int) -> int:
     """The integer sum over partitions lam of d of prod_i N_{k_i+1} p_{k_i+1}(lam).
 
-    It is ``_label_scale(label)`` times the degree-d invariant.
+    It is ``_label_scale(label)`` times the degree-d invariant.  Each 0 in the
+    label is the factor N_1 p_1(lam) = 24d - 1, the same for every lam.
     """
-    rows = [_scaled_power_sums(k + 1, d) for k in label]
-    return sum(map(prod, zip(*rows)))
+    zeros = label.count(0)
+    rows = [_scaled_power_sums(k + 1, d) for k in label[: len(label) - zeros]]
+    return (sum(map(prod, zip(*rows))) if rows else partition_count(d)) * (24 * d - 1) ** zeros
 
 
 def _label_scale(label: DescendentLabel) -> int:

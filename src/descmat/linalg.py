@@ -12,7 +12,7 @@ number of targets; its oracle, a one-off solve on a target-augmented
 column, lives with the tests.  Back-substitution stays in integers
 too, over one running denominator, so a solution costs one Fraction per
 entry.  The subset search and the dual in :mod:`descmat.matroid` take
-the same step; the search's last step before its 2×2 minors skips the
+the same step; the search's last step before its minors skips the
 content division.  Rational rows become primitive integer rows by
 :func:`_primitive`: no floating point and no pivot tolerance.
 """

@@ -15,21 +15,21 @@ Bases, basis counts, uniformity and the Tutte polynomial come from one
 subset enumeration, a depth-first search over the ground set.  Each
 prefix carries the rows of its eliminated column matrix, cut to the
 columns after its last index, so a child's rank test is a lookup and
-extending the prefix is one pivot step.  The last two levels take no
-step: a prefix two short of the size sought is a group, which carries
-its own rows, and a single or pair after it adds the rank of its
-columns in those rows, read off minors.  A column has rank 1 when it is
-nonzero; a pair of columns has rank 2 when one of its 2×2 minors is
-nonzero, which in the two rows of an independent (r − 2)-prefix of a
-rank-r matroid with r rows is x_a·y_b ≠ x_b·y_a.  Those rows meet no
-other test, so the group's own step is the pivot's two-term update
-without the content division.  Nor does a prefix ending at the last
-column, which has no child, take a step: its column in the parent's rows
-gives its rank.  Before its first step the search refuses work above
-``ENUMERATION_CAP``, still counted as candidate subsets times rank³ (the
-cost of one elimination per subset; full weight 12, at 4×10⁷, counts
-its bases in about 0.25 s on a shared 2-vCPU VM), so that every
-accepted or refused enumeration keeps its verdict.
+extending the prefix is one pivot step.  The last three levels take no
+step: a prefix three short of the size sought is a group, which carries
+its own rows, and a single, pair or triple after it adds the rank of
+its columns in those rows, read off minors.  In the three rows of an
+independent (r − 3)-prefix of a rank-r matroid with r rows, a column
+adds 1 when it is nonzero, a pair (a, b) adds 2 when its cross product
+w = u_a × u_b is nonzero, and a triple adds 3 when w·u_c ≠ 0.  Those
+rows meet no other test, so the group's own step is the pivot's
+two-term update without the content division.  Nor does a prefix ending
+at the last column, which has no child, take a step: its column in the
+parent's rows gives its rank.  Before its first step the search refuses
+work above ``ENUMERATION_CAP``, still counted as candidate subsets times
+rank³ (the cost of one elimination per subset; full weight 12, at
+4×10⁷, counts its bases in about 0.15 s on a shared 2-vCPU VM), so that
+every accepted or refused enumeration keeps its verdict.
 
 Counts, uniformity and the Tutte polynomial read one tally of subsets by
 (size, rank) off those groups, on the smaller side: when 2r > n, on the
@@ -38,8 +38,9 @@ dual, whose n − r rows come from the same pivot step.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
+from operator import itemgetter
 
 from .descendents import eisenstein_coordinates
 from .linalg import _echelon, _pivot, _primitive, int_row_rank
@@ -179,14 +180,15 @@ class LinearMatroid:
     def _rank_counts(self, sizes):
         """(size, rank, multiplicity) triples counting the subsets of each size in ``sizes``.
 
-        A :func:`_subset_groups` group with z nonzero and ``zeros`` zero later
-        columns, and P independent pairs among them, has z singles at rank
-        + 1 and ``zeros`` at rank, and P pairs at rank + 2, C(z, 2) − P +
-        z·zeros at rank + 1 and C(zeros, 2) at rank; a count may be 0.
-        Subsets that come alone are tallied after the groups (of the largest
-        size, only the empty set comes alone).  When 2r > n the dual is
-        searched and capped: a dual subset of size s and rank ρ* is the
-        complement of a size-(n − s) subset of rank r − s + ρ*.
+        A set of up to three later columns adds to a :func:`_subset_groups`
+        group's rank the rank of its nonzero columns, z singles, P pairs and T
+        triples of which are independent (:func:`_independent_subsets`).  A
+        dependent triple has rank 1 when mutually parallel, C(q, 2) triples for
+        each column with q later parallels, and else rank 2.  Zero columns add
+        no rank; a multiplicity may be 0.  Subsets that come alone are tallied
+        after the groups.  When 2r > n the dual is searched and capped: a dual
+        subset of size s and rank ρ* is the complement of a size-(n − s)
+        subset of rank r − s + ρ*.
         """
         n, r = len(self), self.rank()
         if 2 * r > n:
@@ -194,23 +196,26 @@ class LinearMatroid:
                 yield n - s, r - s + rank, mult
             return
         self._check_cap(sizes)
-        wanted, alone = set(sizes), {}
+        wanted, top, alone = set(sizes), max(sizes), {}
         for idxs, rank, rows in _subset_groups(self._int_columns, self.nrows, sizes):
             size = len(idxs)
             if rows is None:
                 alone[size, rank] = alone.get((size, rank), 0) + 1
                 continue
-            nonzero = _nonzero_columns(rows)
-            z = len(nonzero)
+            singles, pairs, triples = _independent_subsets(rows, top - size, count()) if rows else ([], (), ())
+            firsts = Counter(map(itemgetter(0), pairs))  # the independent pairs by their first column
+            z, p, t = len(singles), firsts.total(), sum(1 for _ in triples)
             zeros = n - (idxs[-1] + 1 if idxs else 0) - z
-            if size + 1 in wanted:
-                yield size + 1, rank + 1, z
-                yield size + 1, rank, zeros
-            if size + 2 in wanted:
-                pairs = sum(1 for _ in _independent_pairs(nonzero))
-                yield size + 2, rank + 2, pairs
-                yield size + 2, rank + 1, comb(z, 2) - pairs + z * zeros
-                yield size + 2, rank, comb(zeros, 2)
+            parallel = 0  # C(q, 2) for each column with q later parallels, when some pair is dependent
+            if top - size > 2 and p < comb(z, 2):
+                parallel = sum(comb(z - k - firsts[a], 2) for k, (a,) in enumerate(singles, 1))
+            # gained[i][g]: the sets of i nonzero columns that add rank g; j - i zero columns join them
+            gained = [[1], [0, z], [0, comb(z, 2) - p, p], [0, parallel, comb(z, 3) - t - parallel, t]]
+            for j in range(1, top - size + 1):
+                for i in range(j - min(j, zeros), j + 1) if size + j in wanted else ():
+                    for g, mult in enumerate(gained[i]):
+                        if mult:
+                            yield size + j, rank + g, mult * comb(zeros, j - i)
         for (size, rank), mult in alone.items():
             yield size, rank, mult
 
@@ -221,14 +226,11 @@ class LinearMatroid:
         for idxs, rank, rows in _subset_groups(self._int_columns, self.nrows, (r,)):
             if rows is None:  # the empty basis, when r = 0
                 yield ()
-            elif rank == len(idxs):  # an independent (r − 2)-prefix, or the root when r = 1
+            elif rank == len(idxs):  # an independent (r − 3)-prefix, or the root when r ≤ 3
                 prefix = tuple(labels[i] for i in idxs)
                 later = labels[idxs[-1] + 1 :] if idxs else labels
-                nonzero = _nonzero_columns(rows)
-                if rank == r - 1:
-                    yield from (prefix + (later[a],) for a, _ in nonzero)
-                    continue
-                yield from (prefix + (later[a], later[b]) for a, b in _independent_pairs(nonzero))
+                found = _independent_subsets(rows, r - rank, later)
+                yield from (prefix + subset for subset in found[r - rank - 1])
 
     def bases_count(self) -> int:
         r = self.rank()
@@ -291,14 +293,15 @@ def _subset_groups(columns, nrows: int, sizes):
     carries the rows of its eliminated column matrix, cut to the columns
     after its last index; :func:`_pivot` at the next index gives a child's
     rows and whether its rank grew, except for a child at the last index,
-    whose rank grew exactly when its column is nonzero.  Prefixes stop two
-    short of the largest wanted size (at the root when that size is 1 or
-    2), and each such prefix comes as a group (idxs, rank, rows): its own
-    rows, cut to the columns after its last index, which its step,
-    :func:`_leaf_rows`, leaves without the content division.  idxs + (a,)
-    and idxs + (a, b) then have rank + the rank of those columns in the
-    rows, which :func:`_nonzero_columns` and :func:`_independent_pairs`
-    read off minors, so the last two levels take no step.  A wanted subset that is itself a prefix comes alone,
+    whose rank grew exactly when its column is nonzero.  Prefixes stop
+    three short of the largest wanted size (at the root when that size is
+    at most 3), and each such prefix comes as a group (idxs, rank, rows):
+    its own rows, cut to the columns after its last index, which its step,
+    :func:`_leaf_rows`, leaves without the content division.  idxs + (a,),
+    idxs + (a, b) and idxs + (a, b, c) then have rank + the rank of those
+    columns in the rows, which :func:`_independent_subsets` reads off
+    minors, so the last three levels take no step.  A wanted subset that
+    is itself a prefix comes alone,
     as (idxs, rank, None), ahead of its group; when the largest wanted
     size is 0 that is the empty set and there is no group.
     """
@@ -315,7 +318,7 @@ def _subset_groups(columns, nrows: int, sizes):
         if idxs and idxs[-1] == n - 1:  # childless: its column is the parent's last
             rank += any(row[-1] for row in rows)
             rows = []
-        elif idxs and size + 2 == top:  # a group's own step: its rows meet only minors
+        elif idxs and size + 3 == top:  # a group's own step: its rows meet only minors
             grew, rows = _leaf_rows(rows, idxs[-1] - start)
             rank += grew
         elif idxs:
@@ -326,7 +329,7 @@ def _subset_groups(columns, nrows: int, sizes):
         if size == top:
             continue
         first = idxs[-1] + 1 if idxs else 0
-        if size + 2 >= top:
+        if size + 3 >= top:
             yield idxs, rank, rows
             continue
         children = range(first, n - room[size] + 1)
@@ -337,7 +340,7 @@ def _leaf_rows(rows, c):
     """:func:`_pivot`'s two-term update at column ``c``, without the content division.
 
     Returns (whether column c is nonzero, the rows cut to the columns
-    after c).  A group's rows only meet zero tests and 2×2 minors, which
+    after c).  A group's rows only meet zero tests and minors, which
     no nonzero row factor changes, so the rebuilt rows keep their content.
     """
     for p, row in enumerate(rows):
@@ -352,28 +355,53 @@ def _leaf_rows(rows, c):
     ]
 
 
-def _nonzero_columns(rows) -> list:
-    """(c, column) for each nonzero column c of integer ``rows``: the columns of rank 1."""
-    return [(c, col) for c, col in enumerate(zip(*rows)) if any(col)]
+def _independent_subsets(rows, depth, names):
+    """[singles, pairs, triples]: the full-rank sets of the columns of integer ``rows``.
 
-
-def _independent_pairs(columns):
-    """(a, b), a < b, for each pair of :func:`_nonzero_columns` of rank 2.
-
-    Two columns have rank 2 exactly when one of their 2×2 minors is
-    nonzero: in two rows x and y, when x_a·y_b ≠ x_b·y_a.
+    Each lists (pairs and triples lazily) the sets' tuples of column
+    ``names`` in lexicographic order, up to size ``depth``.  A column has
+    rank 1 when nonzero.  In three rows, u pivots on its first nonzero u_p
+    and a later v becomes (u_p·v_i − u_i·v_p, u_p·v_j − u_j·v_p): up to
+    sign, two components of the cross product w = u × v, zero only with
+    it.  The pair has rank 2 when they are nonzero, and (u, v, x) rank 3
+    when the vectors of v and x have a nonzero 2×2 minor, ±u_p·(w·x).
+    Fewer rows are padded with zero rows; more take the general rule: a
+    pair's 2×2 minors m_ij over every row pair, a triple's
+    x_i·m_jk − x_j·m_ik + x_k·m_ij over every row triple.
     """
-    if columns and len(columns[0][1]) == 2:  # the one minor, unrolled
-        for k, (a, (xa, ya)) in enumerate(columns, 1):
-            for b, (xb, yb) in columns[k:]:
-                if xa * yb != xb * ya:
-                    yield a, b
-        return
-    minors = list(combinations(range(len(columns[0][1])), 2)) if columns else []
-    for k, (a, u) in enumerate(columns, 1):
-        for b, v in columns[k:]:
-            if any(u[i] * v[j] != u[j] * v[i] for i, j in minors):
-                yield a, b
+    if 0 < len(rows) < 3:
+        rows = rows + [[0] * len(rows[0])] * (3 - len(rows))
+    if len(rows) > 3:  # the general rule, over every row pair and row triple
+        columns = [(a, col) for a, col in zip(names, zip(*rows)) if any(col)]
+        two, three = (list(combinations(range(len(rows)), k)) for k in (2, 3))
+        pairs = (
+            (a, b) for (a, u), (b, v) in (combinations(columns, 2) if depth > 1 else ())
+            if any(u[i] * v[j] != u[j] * v[i] for i, j in two)
+        )
+        triples = (
+            (a, b, c) for (a, u), (b, v), (c, x) in (combinations(columns, 3) if depth > 2 else ())
+            for m in [{(i, j): u[i] * v[j] - u[j] * v[i] for i, j in two}]
+            if any(x[i] * m[j, k] - x[j] * m[i, k] + x[k] * m[i, j] for i, j, k in three)
+        )
+        return [[(a,) for a, _ in columns], pairs, triples]
+    columns = [
+        (a, col, (0, 1, 2) if col[0] else (1, 0, 2) if col[1] else (2, 0, 1))
+        for a, col in zip(names, zip(*rows)) if any(col)
+    ]
+    # for each column, the later columns with two components of their cross product with it
+    blocks = (
+        (a, [(b, u[p] * v[i] - u[i] * v[p], u[p] * v[j] - u[j] * v[p]) for b, v, _ in columns[k + 1 :]])
+        for k, (a, u, (p, i, j)) in enumerate(columns if depth > 1 else ())
+    )
+    if depth > 2:
+        blocks = list(blocks)
+    triples = (
+        (a, b, c)
+        for a, block in (blocks if depth > 2 else ())
+        for (b, x0, x1), (c, y0, y1) in combinations(block, 2)
+        if x0 * y1 != x1 * y0
+    )
+    return [[(a,) for a, _, _ in columns], ((a, b) for a, block in blocks for b, x0, x1 in block if x0 or x1), triples]
 
 
 def descendent_labels(k: int, positive: bool = False) -> tuple:

@@ -242,7 +242,8 @@ def labels_of_weight(k):
 
 def test_integer_kernel_matches_the_fraction_partition_sum():
     # A kernel that drops the constant c_j, or leaves one N_j out of the
-    # final division, fails this on its first nonempty label, (0,).
+    # final division, fails this on its first nonempty label, (0,).  Every
+    # label with a 0 is here too: its 0s are the factor (24d - 1)^zeros.
     # The empty label has no totals; its invariants are read from its form.
     for d in range(base_order(0) + 1):
         assert gw_invariant((), d) == partition_sum((), d), d
@@ -252,6 +253,21 @@ def test_integer_kernel_matches_the_fraction_partition_sum():
             for d in range(base_order(k - k % 2) + 1):
                 total = Fraction(_partition_total(label, d), scale)
                 assert total == partition_sum(label, d), (label, d)
+
+
+def test_a_cold_weight_twelve_build_reads_no_order_one_power_sums(monkeypatch):
+    clear_build_memos()
+    orders = set()
+    real = descendents._scaled_power_sums
+
+    def recorded(j, d):
+        orders.add(j)
+        return real(j, d)
+
+    monkeypatch.setattr(descendents, "_scaled_power_sums", recorded)
+    assert descendent_matrix(12).rank() == qm_dimension(12)
+    # a label's 0s are the factor (24d - 1)^zeros, never a row of N_1 p_1(lam)
+    assert orders and 1 not in orders
 
 
 def forbidden(name):

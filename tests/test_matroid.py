@@ -385,31 +385,31 @@ def test_is_uniform_stops_at_the_first_dependent_subset(monkeypatch):
 
     monkeypatch.setattr(matroid, "_subset_groups", recorded)
     assert m8.is_uniform() is None
-    # rank 4 on 7 elements, so the check runs on the rank-3 dual, whose
-    # groups are its 1-prefixes.  The only dependent 4-subset, {(4, 0),
-    # (2, 0, 0), (1, 1, 0), (0, 0, 0, 0)} at (1, 4, 5, 6), leaves the dual's
-    # only dependent 3-subset, its complement (0, 2, 3), in the first group
-    assert groups == [(0,)]
+    # rank 4 on 7 elements, so the check runs on the rank-3 dual, whose one
+    # group is the root: every 3-subset is read off its rows.  The only
+    # dependent 4-subset, {(4, 0), (2, 0, 0), (1, 1, 0), (0, 0, 0, 0)} at
+    # (1, 4, 5, 6), leaves the dual's only dependent 3-subset, its complement
+    # (0, 2, 3)
+    assert groups == [()]
 
 
 def _group_subsets(of, sizes):
-    """(idxs, rank) of every subset of ``of`` with a size in ``sizes``, expanded
-    from the uncapped :func:`matroid._subset_groups` by the single and pair minors."""
+    """(idxs, rank) of every subset of ``of`` with a size in ``sizes``, expanded from the
+    uncapped :func:`matroid._subset_groups` by the independent singles, pairs and triples."""
+    top = max(sizes)
     for idxs, rank, rows in matroid._subset_groups(of._int_columns, of.nrows, sizes):
         if rows is None:
             yield idxs, rank
             continue
-        first = idxs[-1] + 1 if idxs else 0
-        later = range(len(of) - first)
-        nonzero = matroid._nonzero_columns(rows)
-        single = {a for a, _ in nonzero}
-        if len(idxs) + 1 in sizes:
-            yield from ((idxs + (first + a,), rank + (a in single)) for a in later)
-        if len(idxs) + 2 in sizes:
-            independent = set(matroid._independent_pairs(nonzero))
-            for a, b in combinations(later, 2):
-                pair = 2 if (a, b) in independent else (a in single or b in single)
-                yield idxs + (first + a, first + b), rank + pair
+        later = range(idxs[-1] + 1 if idxs else 0, len(of))
+        found = matroid._independent_subsets(rows, top - len(idxs), later)
+        independent = set(chain.from_iterable(found))
+        for j in range(1, top - len(idxs) + 1):
+            if len(idxs) + j in sizes:
+                for subset in combinations(later, j):
+                    # a set adds the size of its largest subset that the group finds independent
+                    grew = max(len(s) for s in _powerset(subset) if not s or s in independent)
+                    yield idxs + subset, rank + grew
 
 
 def _seeded_restriction(seed, size=12):
@@ -697,21 +697,26 @@ def test_pivot_eliminates_a_prefix(data):
 
 @settings(max_examples=200)
 @given(st.data())
-def test_group_minors_give_every_single_and_pair_rank(data):
+def test_group_minors_give_every_single_pair_and_triple_rank(data):
     nrows = data.draw(st.integers(1, 5), label="nrows")
     entry = st.integers(-3, 3) | st.integers(-(2**64), 2**64)
     columns = []
     for _ in range(data.draw(st.integers(1, 8), label="n")):
-        kind = data.draw(st.sampled_from(("new", "zero", "parallel")) if columns else st.just("new"))
+        kinds = ("new", "zero", "parallel", "coplanar")[: 3 if len(columns) == 1 else 4 if columns else 1]
+        kind = data.draw(st.sampled_from(kinds))
         if kind == "new":
             columns.append(data.draw(st.lists(entry, min_size=nrows, max_size=nrows)))
         elif kind == "zero":
             columns.append([0] * nrows)
-        else:  # v beside -v, 3v, ...
+        elif kind == "parallel":  # v beside -v, 3v, ...
             col, factor = data.draw(st.sampled_from(columns)), data.draw(st.sampled_from((-1, 3, -3, 2)))
             columns.append([factor * x for x in col])
+        else:  # a·u + b·v: in the plane of u and v, and parallel to neither when they are independent
+            u, v = data.draw(st.lists(st.sampled_from(columns), min_size=2, max_size=2, unique_by=id))
+            a, b = data.draw(st.sampled_from((1, -1, 2))), data.draw(st.sampled_from((1, -2, 5)))
+            columns.append([a * x + b * y for x, y in zip(u, v)])
     # rows that are combinations of others keep nrows above the rank, so
-    # groups of three or more rows come from prefixes of every rank
+    # groups of four or five rows come from prefixes of every rank
     for _ in range(data.draw(st.integers(0, 2), label="dependent rows")):
         a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
         i, j = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, nrows - 1))
@@ -731,18 +736,16 @@ def test_group_minors_give_every_single_and_pair_rank(data):
             continue
         groups += 1
         first = idxs[-1] + 1 if idxs else 0
-        assert len(idxs) == max(top - 2, 0)
+        assert len(idxs) == max(top - 3, 0)
         # a group keeps one row per coordinate its prefix leaves unpivoted
         assert len(rows) == (height - r if idxs[-1:] != (n - 1,) else 0)
         assert all(len(row) == n - first for row in rows)
-        nonzero = matroid._nonzero_columns(rows)
-        single = {first + a for a, _ in nonzero}
-        independent = {(first + a, first + b) for a, b in matroid._independent_pairs(nonzero)}
-        for a in range(first, n):
-            assert rank(idxs + (a,)) == r + (a in single)
-            for b in range(a + 1, n):
-                pair = 2 if (a, b) in independent else (a in single or b in single)
-                assert rank(idxs + (a, b)) == r + pair
+        later, depth = range(first, n), top - len(idxs)
+        found = matroid._independent_subsets(rows, depth, later)
+        for size in (1, 2, 3):
+            # the sets of this size that add their size to the rank, in lexicographic order
+            expected = [s for s in combinations(later, size) if rank(idxs + s) == r + size]
+            assert list(found[size - 1]) == (expected if size <= depth else [])
     assert groups > 0
     m = LinearMatroid(columns, range(n))
     assert m.bases_count() == len(list(m.bases()))
@@ -762,7 +765,7 @@ def count_elimination_steps(monkeypatch):
     return calls
 
 
-def test_bases_count_pivots_only_above_the_last_two_levels(monkeypatch):
+def test_bases_count_pivots_only_above_the_last_three_levels(monkeypatch):
     m = descendent_matrix(12)
     n, r = len(m), m.rank()
     assert (n, r) == (21, 7)
@@ -770,11 +773,11 @@ def test_bases_count_pivots_only_above_the_last_two_levels(monkeypatch):
     assert m.bases_count() == 102670
     # a size-d prefix is eliminated only when its last index leaves room for
     # the r - d indices still to come, which C(n - r + d, d) prefixes do;
-    # sizes 1 to r - 2 take a step, the last of them the groups' own, since
-    # the last two levels are read off minors: 15 + 120 + 680 + 3060 + 11628
-    # (r - 1 would add C(20, 6) = 38 760 more)
-    assert calls == {"_pivot": 15 + 120 + 680 + 3060, "_leaf_rows": 11628}
-    assert calls.total() == sum(comb(n - r + d, d) for d in range(1, r - 1)) == 15503
+    # sizes 1 to r - 3 take a step, the last of them the groups' own, since
+    # the last three levels are read off minors: 15 + 120 + 680 + 3060
+    # (r - 2 would add C(19, 5) = 11 628 more)
+    assert calls == {"_pivot": 15 + 120 + 680, "_leaf_rows": 3060}
+    assert calls.total() == sum(comb(n - r + d, d) for d in range(1, r - 2)) == 3875
 
 
 def test_childless_prefixes_take_no_pivot(monkeypatch):
@@ -783,10 +786,10 @@ def test_childless_prefixes_take_no_pivot(monkeypatch):
     assert (n, m.rank()) == (12, 5)
     calls = count_elimination_steps(monkeypatch)
     assert _tally(m._rank_counts(range(n + 1))) == _oracle_counts(m)
-    # prefixes of sizes 1 to n - 2 are popped; those ending at n - 1 have no
-    # child and read their rank off the parent, so only the 2^(n-1) - 2 of
-    # them inside the first n - 1 indices take a step (all of them took 4082)
-    assert calls.total() == 2 ** (n - 1) - 2 == 2046
+    # prefixes of sizes 1 to n - 3 are popped; those ending at n - 1 have no
+    # child and read their rank off the parent, so only the 2^(n-1) - n - 1
+    # of them inside the first n - 1 indices take a step (all of them took 4082)
+    assert calls.total() == 2 ** (n - 1) - n - 1 == 2035
 
 
 def test_full_weight_twelve_bases_stream_is_pinned():
