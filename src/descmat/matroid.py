@@ -28,19 +28,20 @@ at the last column, which has no child, take a step: its column in the
 parent's rows gives its rank.  Before its first step the search refuses
 work above ``ENUMERATION_CAP``, still counted as candidate subsets times
 rank³ (the cost of one elimination per subset; full weight 12, at
-4×10⁷, counts its bases in about 0.15 s on a shared 2-vCPU VM), so that
-every accepted or refused enumeration keeps its verdict.
+4×10⁷, counts its bases in about 0.13 s on a shared 2-vCPU Intel Xeon
+VM), so that every accepted or refused enumeration keeps its verdict.
 
-Counts, uniformity and the Tutte polynomial read one tally of subsets by
-(size, rank) off those groups, on the smaller side: when 2r > n, on the
-dual, whose n − r rows come from the same pivot step.
+Counts and uniformity read the bases stream of the smaller side: when
+2r > n, of the dual, whose n − r rows come from the same pivot step and
+whose bases are the complements.  The Tutte polynomial is tallied by
+(corank, nullity) on that side too, and read on the dual as
+T(x, y) = T*(y, x).
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import chain, combinations
 from math import comb
-from operator import itemgetter
 
 from .descendents import eisenstein_coordinates
 from .linalg import _echelon, _pivot, _primitive, int_row_rank
@@ -177,48 +178,6 @@ class LinearMatroid:
                 f"rank {r}³ is {candidates * r**3}, above {ENUMERATION_CAP}"
             )
 
-    def _rank_counts(self, sizes):
-        """(size, rank, multiplicity) triples counting the subsets of each size in ``sizes``.
-
-        A set of up to three later columns adds to a :func:`_subset_groups`
-        group's rank the rank of its nonzero columns, z singles, P pairs and T
-        triples of which are independent (:func:`_independent_subsets`).  A
-        dependent triple has rank 1 when mutually parallel, C(q, 2) triples for
-        each column with q later parallels, and else rank 2.  Zero columns add
-        no rank; a multiplicity may be 0.  Subsets that come alone are tallied
-        after the groups.  When 2r > n the dual is searched and capped: a dual
-        subset of size s and rank ρ* is the complement of a size-(n − s)
-        subset of rank r − s + ρ*.
-        """
-        n, r = len(self), self.rank()
-        if 2 * r > n:
-            for s, rank, mult in self.dual()._rank_counts([n - s for s in sizes]):
-                yield n - s, r - s + rank, mult
-            return
-        self._check_cap(sizes)
-        wanted, top, alone = set(sizes), max(sizes), {}
-        for idxs, rank, rows in _subset_groups(self._int_columns, self.nrows, sizes):
-            size = len(idxs)
-            if rows is None:
-                alone[size, rank] = alone.get((size, rank), 0) + 1
-                continue
-            singles, pairs, triples = _independent_subsets(rows, top - size, count()) if rows else ([], (), ())
-            firsts = Counter(map(itemgetter(0), pairs))  # the independent pairs by their first column
-            z, p, t = len(singles), firsts.total(), sum(1 for _ in triples)
-            zeros = n - (idxs[-1] + 1 if idxs else 0) - z
-            parallel = 0  # C(q, 2) for each column with q later parallels, when some pair is dependent
-            if top - size > 2 and p < comb(z, 2):
-                parallel = sum(comb(z - k - firsts[a], 2) for k, (a,) in enumerate(singles, 1))
-            # gained[i][g]: the sets of i nonzero columns that add rank g; j - i zero columns join them
-            gained = [[1], [0, z], [0, comb(z, 2) - p, p], [0, parallel, comb(z, 3) - t - parallel, t]]
-            for j in range(1, top - size + 1):
-                for i in range(j - min(j, zeros), j + 1) if size + j in wanted else ():
-                    for g, mult in enumerate(gained[i]):
-                        if mult:
-                            yield size + j, rank + g, mult * comb(zeros, j - i)
-        for (size, rank), mult in alone.items():
-            yield size, rank, mult
-
     def bases(self):
         """All bases, in lexicographic order of label indices."""
         r, labels = self.rank(), self.labels
@@ -232,18 +191,41 @@ class LinearMatroid:
                 found = _independent_subsets(rows, r - rank, later)
                 yield from (prefix + subset for subset in found[r - rank - 1])
 
+    def _smaller(self) -> "LinearMatroid":
+        """The side of smaller rank: the dual when 2r > n, else the matroid itself."""
+        return self.dual() if 2 * self.rank() > len(self) else self
+
     def bases_count(self) -> int:
-        r = self.rank()
-        self._check_cap((r,))
-        return sum(mult for _, rank, mult in self._rank_counts((r,)) if rank == r)
+        """The number of bases, listed on the smaller side: the dual's are their complements."""
+        self._check_cap((self.rank(),))
+        return sum(1 for _ in self._smaller().bases())
 
     def tutte(self) -> TuttePolynomial:
-        """Corank-nullity sum over all subsets, expanded once per (corank, nullity)."""
+        """Corank-nullity sum over all subsets, expanded once per (corank, nullity).
+
+        When 2r > n it is the dual's with x and y swapped, T(x, y) = T*(y, x).
+        Otherwise every size is sought, so each :func:`_subset_groups` group
+        has at most three later columns, and a set of them adds to the
+        group's rank the size of its largest subset that
+        :func:`_independent_subsets` finds independent.
+        """
         r, n = self.rank(), len(self)
         self._check_cap(range(n + 1))
+        if (side := self._smaller()) is not self:
+            return TuttePolynomial({(j, i): c for (i, j), c in side.tutte().coeffs.items()})
         classes: Counter = Counter()
-        for size, rank, mult in self._rank_counts(range(n + 1)):
-            classes[r - rank, size - rank] += mult
+        for idxs, rank, rows in _subset_groups(self._int_columns, self.nrows, range(n + 1)):
+            size = len(idxs)
+            if rows is None:
+                classes[r - rank, size - rank] += 1
+                continue
+            later = range(idxs[-1] + 1 if idxs else 0, n)  # at most three columns
+            found = set(chain.from_iterable(_independent_subsets(rows, 3, later)))
+            for j in range(1, len(later) + 1):
+                for subset in combinations(later, j):
+                    # the set adds the size of its largest subset found independent
+                    grew = max((len(s) for s in found if set(s) <= set(subset)), default=0)
+                    classes[r - rank - grew, size + j - rank - grew] += 1
         acc: Counter = Counter()
         for (corank, nullity), mult in classes.items():
             for i in range(corank + 1):
@@ -279,11 +261,14 @@ class LinearMatroid:
     def is_uniform(self) -> tuple[int, int] | None:
         """(rank, size) when every rank-subset is a basis, else None.
 
-        The search stops at the first group that holds a dependent subset.
+        The smaller side's bases stream is compared with its rank-subsets,
+        both in lexicographic order, up to the first subset the stream skips.
         """
-        r, n = self.rank(), len(self)
-        uniform = all(rank == r for _, rank, mult in self._rank_counts((r,)) if mult)
-        return (r, n) if uniform else None
+        side = self._smaller()
+        subsets = combinations(side.labels, side.rank())
+        if all(b == s for b, s in zip(side.bases(), subsets)) and next(subsets, None) is None:
+            return self.rank(), len(self)
+        return None
 
 
 def _subset_groups(columns, nrows: int, sizes):

@@ -544,7 +544,6 @@ def test_enumeration_takes_the_reduced_row_and_dual_routes(monkeypatch):
         lambda m: list(m.bases()),
         LinearMatroid.tutte,
         LinearMatroid.is_uniform,
-        lambda m: list(m._rank_counts((3, 5))),
     )
     expected = [call(m10) for call in calls]
     m10._int_columns = tuple(tuple(map(_ColumnEntry, col)) for col in m10._int_columns)
@@ -618,14 +617,6 @@ RANK_STREAM_MATROIDS = {
 }
 
 
-def _tally(triples):
-    """Subsets per (size, rank) from (size, rank, multiplicity) triples."""
-    counts = Counter()
-    for size, rank, mult in triples:
-        counts[size, rank] += mult
-    return +counts
-
-
 def _oracle_counts(m):
     """Subsets per (size, rank), each rank by plain fraction elimination."""
     return Counter(
@@ -634,15 +625,64 @@ def _oracle_counts(m):
     )
 
 
+def _oracle_tutte(counts):
+    """The corank-nullity sum over subsets counted per (size, rank), expanded."""
+    r = max(rank for _, rank in counts)
+    acc = Counter()
+    for (size, rank), mult in counts.items():
+        corank, nullity = r - rank, size - rank
+        for i in range(corank + 1):
+            for j in range(nullity + 1):
+                sign = (-1) ** (corank - i + nullity - j)
+                acc[i, j] += sign * mult * comb(corank, i) * comb(nullity, j)
+    return TuttePolynomial(acc)
+
+
 @pytest.mark.parametrize("name", RANK_STREAM_MATROIDS)
 def test_rank_stream_matches_subset_rank(name):
     m = RANK_STREAM_MATROIDS[name]()
-    n = len(m)
+    n, r = len(m), m.rank()
     oracle = _oracle_counts(m)
-    # full-8 and named-14 have 2r > n, so their counts come through the dual
-    for sizes in [range(n + 1), *((size,) for size in range(n + 1)), (1, n)]:
-        expected = Counter({key: c for key, c in oracle.items() if key[0] in sizes})
-        assert _tally(m._rank_counts(sizes)) == expected, sizes
+    assert oracle[n, r] == 1
+    # full-8 and named-14 have 2r > n, so they are read on the dual
+    assert m.tutte() == _oracle_tutte(oracle)
+    assert m.bases_count() == oracle[r, r]
+    assert m.is_uniform() == ((r, n) if oracle[r, r] == comb(n, r) else None)
+
+
+def test_is_uniform_reads_the_bases_stream_to_its_end():
+    # rank 2 on 4 labels, so the primal is searched; its only dependent
+    # 2-subset, (c, d), comes last, after the stream's last basis
+    m = LinearMatroid([[1, 0], [0, 1], [1, 1], [2, 2]], "abcd")
+    assert 2 * m.rank() == len(m) == 4
+    assert list(m.bases()) == [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
+    assert m.is_uniform() is None
+    assert m.bases_count() == 5
+
+
+def test_is_uniform_stops_at_the_first_subset_the_bases_stream_skips(monkeypatch):
+    # the first seed-3 weight-12 restriction of the matroid-enum benchmark:
+    # 2r = n, so the primal is searched
+    m = _seeded_restriction(3, 14)
+    assert (len(m), m.rank()) == (14, 7)
+    groups = []
+    real = matroid._subset_groups
+
+    def recorded(*args):
+        for idxs, rank, rows in real(*args):
+            groups.append(idxs)
+            yield idxs, rank, rows
+
+    monkeypatch.setattr(matroid, "_subset_groups", recorded)
+    # counting reads every group: the C(n - r + 4, 4) size-4 prefixes that
+    # leave room for three more indices
+    assert m.bases_count() == 2736
+    assert len(groups) == comb(7 + 4, 4) == 330
+    groups.clear()
+    # the first 7-subset missing from the stream, (0, 1, 2, 6, 10, 12, 13),
+    # is in the fourth group
+    assert m.is_uniform() is None
+    assert groups == [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 2, 6)]
 
 
 @settings(max_examples=100)
@@ -785,7 +825,7 @@ def test_childless_prefixes_take_no_pivot(monkeypatch):
     n = len(m)
     assert (n, m.rank()) == (12, 5)
     calls = count_elimination_steps(monkeypatch)
-    assert _tally(m._rank_counts(range(n + 1))) == _oracle_counts(m)
+    assert m.tutte() == _oracle_tutte(_oracle_counts(m))
     # prefixes of sizes 1 to n - 3 are popped; those ending at n - 1 have no
     # child and read their rank off the parent, so only the 2^(n-1) - n - 1
     # of them inside the first n - 1 indices take a step (all of them took 4082)
