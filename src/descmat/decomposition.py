@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .descendents import (
     DescendentLabel,
-    _form_reaching,
+    _degree_read,
     as_label,
     bracket_series,
     eisenstein_coordinates,
@@ -250,19 +250,20 @@ def tau_pentagonal(d: int, decomposition: LinearDecomposition) -> int:
     """tau(d) from a basis decomposition via pentagonal pairs.
 
     Sums (-1)^j a_b <tau_b>_m over all pairs 3j^2 - j + 2m = 2d and basis
-    elements b, the sum over j first: label b's bracket coefficient S_b(d),
-    shared by every decomposition, gives tau(d) = sum_b a_b S_b(d).  With
-    a_b = n_b / N and S_b(d) = F_b[d] / D_b read off label b's form, the
-    sum is one integer over N·lcm(D_b).  The result must be an integer;
-    anything else means the decomposition's coefficients are corrupt, and
-    is raised.
+    elements b, the sum over j first: label b's bracket coefficient S_b(d)
+    gives tau(d) = sum_b a_b S_b(d).  With a_b = n_b / N and
+    S_b(d) = F_b[d] / D_b read off label b's form, the sum is one integer
+    over N·lcm(D_b).  The pair (F_b[d], D_b) is read once per label and
+    degree, from the memo ``descendents._degree_reads``, and shared by
+    every decomposition.  The result must be an integer; anything else
+    means the decomposition's coefficients are corrupt, and is raised.
     """
     if d < 1:
         raise ValueError("tau is defined for d >= 1")
     nums, den = _over_common_denominator(decomposition.coefficients)
-    forms = [_form_reaching(as_label(label), d) for label in decomposition.basis]
-    form_den = lcm(*(form.den for form in forms))
-    total = sum(n * form.nums[d] * (form_den // form.den) for n, form in zip(nums, forms))
+    reads = [_degree_read(label, d) for label in decomposition.basis]
+    form_den = lcm(*(D for _, D in reads))
+    total = sum(n * F * (form_den // D) for n, (F, D) in zip(nums, reads))
     den *= form_den
     if total % den:
         raise ArithmeticError(

@@ -25,6 +25,10 @@ that form.  Let base(k) = :func:`~descmat.quasimodular.base_order`.
   base(k) * 2^j >= d, one form per doubling of a degree sweep, and
   :func:`gw_invariant` is the form divided by (q)_inf there: one
   integer dot product sum_m F_m p(d - m) over D, in every degree.
+  The pair (F[d], D) of a (label, degree) is memoized once more, in
+  :func:`_degree_reads`, for readers that take the coefficient itself,
+  such as tau from a decomposition, whose labels many decompositions
+  share.
 
 The form of an odd-weight label is 0: conjugation gives
 p_k(lam') = (-1)^(k+1) p_k(lam), because the constant c_k vanishes for
@@ -172,6 +176,22 @@ def _form_reaching(label: DescendentLabel, d: int) -> QSeries:
     k = weight(label)
     base = base_order(k - k % 2)
     return _bracket_series(label, base << (max(d - 1, 0) // base).bit_length())
+
+
+def _degree_read(label, d: int) -> tuple[int, int]:
+    """(F[d], D) of the label's form, through the memo :func:`_degree_reads`.
+
+    A tuple is the memo's key as it stands, so a repeated read skips
+    canonicalization; any other iterable of insertion orders is
+    canonicalized first.
+    """
+    return _degree_reads(label if isinstance(label, tuple) else as_label(label), d)
+
+
+@cache
+def _degree_reads(label: tuple, d: int) -> tuple[int, int]:
+    form = _form_reaching(as_label(label), d)
+    return form.nums[d], form.den
 
 
 def eisenstein_coordinates(label) -> tuple[Fraction, ...]:

@@ -7,6 +7,7 @@ from math import comb
 
 from descmat import partitions
 from descmat.partitions import bernoulli, partition_count, partitions_of
+from descmat.decomposition import all_positive_decompositions, tau_direct, tau_pentagonal
 from descmat.descendents import _power_sum_scale, _scaled_power_sums, eisenstein_coordinates, gw_invariant
 from descmat.matroid import descendent_labels, named_restriction
 from oracles import shifted_power_sum
@@ -78,6 +79,21 @@ def test_memoized_evaluators_are_race_safe():
         results = list(pool.map(lambda args: gw_invariant(*args), jobs))
     serial = [gw_invariant(label, d) for label, d in jobs]
     assert results == serial
+    # from cold memos, eight threads race tau over every positive row, whose
+    # rows share their labels' (F[d], D) reads
+    rows = [dec for _, dec in all_positive_decompositions(12)]
+    tau_jobs = [(d, dec) for d in range(25, 33) for dec in rows]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clear_build_memos()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            taus = list(pool.map(lambda job: tau_pentagonal(*job), tau_jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    clear_build_memos()
+    assert taus == [tau_pentagonal(d, dec) for d, dec in tau_jobs]
+    assert taus == [tau_direct(d) for d, _ in tau_jobs]
     # spot value: (3/2)^2 - (1/2)^2 + (1/2)^2 - (3/2)^2 + c_2 = 0
     assert shifted_power_sum(2, (2, 1)) == Fraction(0)
 

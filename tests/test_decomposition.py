@@ -269,10 +269,17 @@ def test_tau_direct_matches_niebur():
 
 def test_tau_pentagonal_small_values():
     ground = descendent_labels(12, positive=True)
-    dec = solve_linear(ground[:7], discriminant(24), 12)
-    assert tau_pentagonal(1, dec) == 1
-    assert tau_pentagonal(2, dec) == -24
-    assert tau_pentagonal(6, dec) == -6048 == tau_niebur(2) * tau_niebur(3)
+    positive = solve_linear(ground[:7], discriminant(24), 12)
+    # a basis with 0s too, whose reversed labels put their 0s first
+    with_zeros = solve_linear(next(descendent_matrix(12).bases()), discriminant(24), 12)
+    for dec in (positive, with_zeros):
+        # the labels as held, as unsorted tuples, and as lists: one value each
+        reversed_labels = dec._replace(basis=tuple(label[::-1] for label in dec.basis))
+        list_labels = dec._replace(basis=tuple(list(label) for label in dec.basis))
+        for held in (dec, reversed_labels, list_labels):
+            assert tau_pentagonal(1, held) == 1
+            assert tau_pentagonal(2, held) == -24
+            assert tau_pentagonal(6, held) == -6048 == tau_niebur(2) * tau_niebur(3)
 
 
 def test_tau_triangulation_at_degree_200():

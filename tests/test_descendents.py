@@ -70,6 +70,19 @@ def test_bracket_series_published_expansion():
     )
 
 
+def test_a_zero_insertion_is_the_divisor_operator():
+    # <tau_0(pt) prod>_d = (d - 1/24) <prod>_d, so the bracket series of
+    # label + (0,) is q dB/dq + E2 B with B the label's: an independent
+    # check of the factor (24d - 1)^zeros in the partition totals
+    e2 = eisenstein_series(2, 30)
+    labels = [()] + [label for k in range(2, 13, 2) for label in descendent_labels(k)]
+    assert len(labels) == 48
+    for label in labels:
+        b = bracket_series(label, 30)
+        q_derivative = QSeries([n * x for n, x in enumerate(b.nums)], den=b.den)
+        assert bracket_series(label + (0,), 30) == q_derivative + e2 * b, label
+
+
 def test_tau_zero_bracket_is_the_weight_two_eisenstein_series():
     assert bracket_series((0,), 20) == eisenstein_series(2, 20)
 
@@ -319,6 +332,9 @@ def test_bracket_series_and_tau_read_the_form_alone(monkeypatch):
             assert tau_pentagonal(d, dec) == expected, (key, d)
     # weight 12's columns at base(12) = 12 for the coordinates, and at 48 for degrees 25..32
     assert quasimodular._monomial_columns.cache_info().currsize == 2
+    # one (F[d], D) read per label and degree, shared by the 36 rows: 9 labels x 8 degrees
+    assert len({label for _, dec in rows for label in dec.basis}) == 9
+    assert descendents._degree_reads.cache_info().currsize == 72
     for label in ((), (2, 1), (2, 2), (6, 4), (4, 4, 2)):
         k = weight(label) - weight(label) % 2
         bracket_series(label, 3 * base_order(k))

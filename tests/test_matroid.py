@@ -238,6 +238,13 @@ def test_tutte_cap():
         descendent_matrix(12).tutte()
 
 
+@pytest.mark.parametrize("k", [4, 6, 8, 10])
+def test_a_zero_insertion_embeds_weight_k_in_weight_k_plus_two(k):
+    # the divisor operator is injective, so adding a 0 to every label keeps the matroid
+    zeros_added = [label + (0,) for label in descendent_labels(k)]
+    assert descendent_matrix(k).tutte() == descendent_matrix(k + 2).restrict(zeros_added).tutte()
+
+
 def test_restrict_keeps_ground_order():
     m8 = descendent_matrix(8)
     r = m8.restrict([(2, 2), (6,), (3, 1)])
