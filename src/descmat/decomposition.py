@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .descendents import (
     DescendentLabel,
-    _degree_read,
+    _degree_reads,
     as_label,
     bracket_series,
     eisenstein_coordinates,
@@ -261,7 +261,7 @@ def tau_pentagonal(d: int, decomposition: LinearDecomposition) -> int:
     if d < 1:
         raise ValueError("tau is defined for d >= 1")
     nums, den = _over_common_denominator(decomposition.coefficients)
-    reads = [_degree_read(label, d) for label in decomposition.basis]
+    reads = [_degree_reads(tuple(label), d) for label in decomposition.basis]
     form_den = lcm(*(D for _, D in reads))
     total = sum(n * F * (form_den // D) for n, (F, D) in zip(nums, reads))
     den *= form_den

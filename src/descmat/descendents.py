@@ -178,18 +178,9 @@ def _form_reaching(label: DescendentLabel, d: int) -> QSeries:
     return _bracket_series(label, base << (max(d - 1, 0) // base).bit_length())
 
 
-def _degree_read(label, d: int) -> tuple[int, int]:
-    """(F[d], D) of the label's form, through the memo :func:`_degree_reads`.
-
-    A tuple is the memo's key as it stands, so a repeated read skips
-    canonicalization; any other iterable of insertion orders is
-    canonicalized first.
-    """
-    return _degree_reads(label if isinstance(label, tuple) else as_label(label), d)
-
-
 @cache
 def _degree_reads(label: tuple, d: int) -> tuple[int, int]:
+    """(F[d], D) of the label's form, keyed by the tuple as the caller holds it."""
     form = _form_reaching(as_label(label), d)
     return form.nums[d], form.den
 

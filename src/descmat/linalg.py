@@ -1,20 +1,20 @@
 """Exact linear algebra over the rationals.
 
 One elimination step, :func:`_pivot`, serves the whole package.  It
-eliminates one column of integer rows by the two-term update
-t_p·row_i − t_i·row_p and divides each rebuilt row by its content,
-which keeps entries at minor-determinant size.  :func:`_echelon` folds
-the step over leading columns: :func:`int_row_rank` counts its pivots,
-and :func:`_solve` back-substitutes through them.  The package's one
-solver, :func:`factor_columns`, runs :func:`_solve` once on the columns
-with the identity appended, so the factored columns then solve any
-number of targets; its oracle, a one-off solve on a target-augmented
-column, lives with the tests.  Back-substitution stays in integers
-too, over one running denominator, so a solution costs one Fraction per
-entry.  The subset search and the dual in :mod:`descmat.matroid` take
-the same step; the search's last step before its minors skips the
-content division.  Rational rows become primitive integer rows by
-:func:`_primitive`: no floating point and no pivot tolerance.
+eliminates one column of integer rows by the fraction-free (Bareiss)
+update (t_p·row_i − t_i·row_p) // prev, prev being the last pivot taken,
+which divides exactly and keeps every entry a minor of the original
+rows.  :func:`_echelon` folds the step over leading columns:
+:func:`int_row_rank` counts its pivots, and :func:`_solve`
+back-substitutes through them.  The package's one solver,
+:func:`factor_columns`, runs :func:`_solve` once on the columns with the
+identity appended, so the factored columns then solve any number of
+targets; its oracle, a one-off solve on a target-augmented column, lives
+with the tests.  Back-substitution stays in integers too, over one
+running denominator, so a solution costs one Fraction per entry.  The
+subset search and the dual in :mod:`descmat.matroid` take the same
+step.  Rational rows become primitive integer rows by :func:`_primitive`:
+no floating point and no pivot tolerance.
 """
 
 from fractions import Fraction
@@ -44,17 +44,20 @@ def _primitive(row) -> tuple[list[int], Fraction]:
     return ([x // g for x in ints] if g > 1 else ints), Fraction(g or 1, den)
 
 
-def _pivot(rows, c):
+def _pivot(rows, c, prev):
     """Eliminate column ``c`` from integer ``rows``: (pivot, rows cut to the columns after c).
 
     With t_p the first nonzero entry of column c, in row p, every other
-    row i becomes t_p·row_i − t_i·row_p, which is zero at c; row p is
-    dropped and pivot is (t_p, tail), tail being row p cut to the columns
-    after c.  A rebuilt row is divided by its content; a row with tᵢ = 0
-    is only cut.  When column c is zero in every row, no row is dropped
-    and pivot is None.  Either way, on any set S of later columns the
-    returned rows have the rank of ``rows`` on {c} ∪ S, less one for a
-    pivot.
+    row i becomes (t_p·row_i − t_i·row_p) // prev, which is zero at c;
+    row p is dropped and pivot is (t_p, tail), tail being row p cut to
+    the columns after c.  ``prev`` is the t_p of the step before (1 at
+    the first), and by Sylvester's identity the division is exact: when
+    every step has divided so, each entry is the minor of the original
+    rows on the pivots' rows and columns, in the order taken, and its
+    own (Bareiss 1968).  When column c is zero in every row, no row is
+    dropped and pivot is None.  Either way, on any set S of later
+    columns the returned rows have the rank of ``rows`` on {c} ∪ S, less
+    one for a pivot.
     """
     for p, row in enumerate(rows):
         if row[c]:
@@ -62,16 +65,11 @@ def _pivot(rows, c):
     else:
         return None, [row[c + 1 :] for row in rows]
     tp, tail = rows[p][c], rows[p][c + 1 :]
-    reduced = [row[c + 1 :] for row in rows[:p]]
-    for row in rows[p + 1 :]:
-        t = row[c]
-        if t:
-            row = [tp * x - t * y for x, y in zip(row[c + 1 :], tail)]
-            g = gcd(*row)
-            reduced.append([x // g for x in row] if g > 1 else row)
-        else:
-            reduced.append(row[c + 1 :])
-    return (tp, tail), reduced
+    return (tp, tail), [
+        [(tp * x - t * y) // prev for x, y in zip(row[c + 1 :], tail)]
+        for row in rows[:p] + rows[p + 1 :]
+        for t in [row[c]]
+    ]
 
 
 def _echelon(rows, ncols: int):
@@ -82,8 +80,11 @@ def _echelon(rows, ncols: int):
     ``ncols`` on.
     """
     pivots = [None] * ncols
+    prev = 1
     for j in range(ncols):
-        pivots[j], rows = _pivot(rows, 0)
+        pivots[j], rows = _pivot(rows, 0, prev)
+        if pivots[j]:
+            prev = pivots[j][0]
     return pivots, rows
 
 

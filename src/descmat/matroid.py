@@ -21,15 +21,16 @@ its own rows, and a single, pair or triple after it adds the rank of
 its columns in those rows, read off minors.  In the three rows of an
 independent (r − 3)-prefix of a rank-r matroid with r rows, a column
 adds 1 when it is nonzero, a pair (a, b) adds 2 when its cross product
-w = u_a × u_b is nonzero, and a triple adds 3 when w·u_c ≠ 0.  Those
-rows meet no other test, so the group's own step is the pivot's
-two-term update without the content division.  Nor does a prefix ending
-at the last column, which has no child, take a step: its column in the
-parent's rows gives its rank.  Before its first step the search refuses
-work above ``ENUMERATION_CAP``, still counted as candidate subsets times
-rank³ (the cost of one elimination per subset; full weight 12, at
-4×10⁷, counts its bases in about 0.13 s on a shared 2-vCPU Intel Xeon
-VM), so that every accepted or refused enumeration keeps its verdict.
+w = u_a × u_b is nonzero, and a triple adds 3 when w·u_c ≠ 0.  The
+step is fraction-free: each prefix carries its last pivot, by which its
+children's rebuilt rows divide exactly, so every entry stays a minor of
+the columns.  A prefix ending at the last column, which has no child,
+takes no step: its column in the parent's rows gives its rank.  Before
+its first step the search refuses work above ``ENUMERATION_CAP``, still
+counted as candidate subsets times rank³ (the cost of one elimination
+per subset; full weight 12, at 4×10⁷, counts its bases in about 0.13 s
+on a shared 2-vCPU Intel Xeon VM), so that every accepted or refused
+enumeration keeps its verdict.
 
 Counts and uniformity read the bases stream of the smaller side: when
 2r > n, of the dual, whose n − r rows come from the same pivot step and
@@ -246,14 +247,16 @@ class LinearMatroid:
     def dual(self) -> "LinearMatroid":
         """The dual matroid on the same labels, in the same order, built once.
 
-        Its rows are a primitive basis of the kernel of the integer column
-        matrix C: the rows of [Cᵀ | Iₙ] left over once :func:`_echelon` has
-        eliminated the first ``nrows`` columns.
+        Its rows are a basis of the kernel of the integer column matrix C:
+        the rows of [Cᵀ | Iₙ] left over once :func:`_echelon` has
+        eliminated the first ``nrows`` columns, each made primitive, as
+        those minors share a large common factor.
         """
         if self._dual is None:
             n = len(self)
             rows = [[*col, *(int(i == j) for i in range(n))] for j, col in enumerate(self._int_columns)]
             _, rows = _echelon(rows, self.nrows)
+            rows = [_primitive(row)[0] for row in rows]
             columns = [tuple(a[j] for a in rows) for j in range(n)]
             self._dual = LinearMatroid(columns, self.labels, nrows=len(rows))
         return self._dual
@@ -276,39 +279,39 @@ def _subset_groups(columns, nrows: int, sizes):
 
     Explicit-stack depth-first search in lexicographic order.  A prefix
     carries the rows of its eliminated column matrix, cut to the columns
-    after its last index; :func:`_pivot` at the next index gives a child's
-    rows and whether its rank grew, except for a child at the last index,
-    whose rank grew exactly when its column is nonzero.  Prefixes stop
-    three short of the largest wanted size (at the root when that size is
-    at most 3), and each such prefix comes as a group (idxs, rank, rows):
-    its own rows, cut to the columns after its last index, which its step,
-    :func:`_leaf_rows`, leaves without the content division.  idxs + (a,),
-    idxs + (a, b) and idxs + (a, b, c) then have rank + the rank of those
-    columns in the rows, which :func:`_independent_subsets` reads off
-    minors, so the last three levels take no step.  A wanted subset that
-    is itself a prefix comes alone,
-    as (idxs, rank, None), ahead of its group; when the largest wanted
-    size is 0 that is the empty set and there is no group.
+    after its last index, and its last pivot; :func:`_pivot` at the next
+    index, dividing by that pivot, gives a child's rows and whether its
+    rank grew, except for a child at the last index, whose rank grew
+    exactly when its column is nonzero.  Prefixes stop three short of the
+    largest wanted size (at the root when that size is at most 3), and
+    each such prefix comes as a group (idxs, rank, rows): its own rows,
+    cut to the columns after its last index.  idxs + (a,), idxs + (a, b)
+    and idxs + (a, b, c) then have rank + the rank of those columns in
+    the rows, which :func:`_independent_subsets` reads off minors, so the
+    last three levels take no step.  A wanted subset that is itself a
+    prefix comes alone, as (idxs, rank, None), ahead of its group; when
+    the largest wanted size is 0 that is the empty set and there is no
+    group.
     """
     n = len(columns)
     wanted = set(sizes)
     top = max(wanted)
     # a child of a size-d prefix must leave room to reach the next wanted size
     room = [min(s for s in wanted if s > d) - d for d in range(top)]
-    # an entry holds its parent's rows, cut to the columns from ``start``
-    stack = [((), [[col[i] for col in columns] for i in range(nrows)], 0, 0)]
+    # an entry holds its parent's rows, cut to the columns from ``start``,
+    # and the parent's last pivot
+    stack = [((), [[col[i] for col in columns] for i in range(nrows)], 0, 0, 1)]
     while stack:
-        idxs, rows, rank, start = stack.pop()
+        idxs, rows, rank, start, prev = stack.pop()
         size = len(idxs)
         if idxs and idxs[-1] == n - 1:  # childless: its column is the parent's last
             rank += any(row[-1] for row in rows)
             rows = []
-        elif idxs and size + 3 == top:  # a group's own step: its rows meet only minors
-            grew, rows = _leaf_rows(rows, idxs[-1] - start)
-            rank += grew
         elif idxs:
-            pivot, rows = _pivot(rows, idxs[-1] - start)
-            rank += pivot is not None
+            pivot, rows = _pivot(rows, idxs[-1] - start, prev)
+            if pivot is not None:
+                rank += 1
+                prev = pivot[0]
         if size in wanted:
             yield idxs, rank, None
         if size == top:
@@ -318,26 +321,7 @@ def _subset_groups(columns, nrows: int, sizes):
             yield idxs, rank, rows
             continue
         children = range(first, n - room[size] + 1)
-        stack += ((idxs + (c,), rows, rank, first) for c in reversed(children))
-
-
-def _leaf_rows(rows, c):
-    """:func:`_pivot`'s two-term update at column ``c``, without the content division.
-
-    Returns (whether column c is nonzero, the rows cut to the columns
-    after c).  A group's rows only meet zero tests and minors, which
-    no nonzero row factor changes, so the rebuilt rows keep their content.
-    """
-    for p, row in enumerate(rows):
-        if row[c]:
-            break
-    else:
-        return False, [row[c + 1 :] for row in rows]
-    tp, tail = rows[p][c], rows[p][c + 1 :]
-    return True, [
-        [tp * x - t * y for x, y in zip(row[c + 1 :], tail)] if (t := row[c]) else row[c + 1 :]
-        for row in rows[:p] + rows[p + 1 :]
-    ]
+        stack += ((idxs + (c,), rows, rank, first, prev) for c in reversed(children))
 
 
 def _independent_subsets(rows, depth, names):

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from descmat.linalg import (
     InconsistentSystemError,
     SingularSystemError,
+    _echelon,
     _over_common_denominator,
     _primitive,
     factor_columns,
@@ -32,6 +33,25 @@ def fraction_gauss_rank(rows):
     return rank
 
 
+def fraction_det(rows):
+    """Reference determinant of a square matrix by fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            for j in range(c, len(m)):
+                m[i][j] -= f * m[c][j]
+    return det
+
+
 # small entries make dependencies likely; large ones grow the pivot step's products
 entries = st.integers(-6, 6) | st.integers(-(2**64), 2**64)
 
@@ -54,6 +74,22 @@ def matrices(draw):
 @given(matrices())
 def test_int_row_rank_matches_fraction_elimination(rows):
     assert int_row_rank(rows) == fraction_gauss_rank(rows)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_last_pivot_is_the_determinant(data):
+    # fraction-free elimination keeps every entry a minor, so the last
+    # pivot of a nonsingular square matrix is its determinant, up to the
+    # sign of the row order the pivots were taken in
+    n = data.draw(st.integers(1, 6), label="n")
+    row = st.lists(st.integers(-6, 6) | st.integers(-(2**70), 2**70), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=n, max_size=n), label="rows")
+    det = fraction_det(rows)
+    assume(det)
+    pivots, rest = _echelon(rows, n)
+    assert rest == []
+    assert pivots[-1][0] in (det, -det)
 
 
 def test_rank_early_stop():

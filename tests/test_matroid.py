@@ -7,7 +7,7 @@ from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_linalg import fraction_gauss_rank
+from test_linalg import fraction_det, fraction_gauss_rank
 
 from descmat import matroid
 from descmat.matroid import (
@@ -537,10 +537,10 @@ def test_enumeration_takes_the_reduced_row_and_dual_routes(monkeypatch):
     # arithmetic only through the pivot step, never a per-child dot product
     real_pivot = matroid._pivot
 
-    def pivot(rows, c):
+    def pivot(rows, c, prev):
         _ColumnEntry.in_pivot = True
         try:
-            return real_pivot(rows, c)
+            return real_pivot(rows, c, prev)
         finally:
             _ColumnEntry.in_pivot = False
 
@@ -715,26 +715,37 @@ def test_pivot_eliminates_a_prefix(data):
         i, j = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, nrows - 1))
         rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
     columns = [[row[j] for row in rows] for j in range(n)]
-    # primitive or zero rows stay so when the prefix leaves no column out
-    rows = [[x // g for x in row] if (g := gcd(*row)) else row for row in rows]
+    original = rows
     prefix = sorted(data.draw(st.sets(st.integers(0, n - 1)), label="prefix"))
 
     def rank(idxs):
         return fraction_gauss_rank([columns[j] for j in idxs])
 
-    start = 0
+    def minor(row_idxs, col_idxs):
+        return fraction_det([[original[i][j] for j in col_idxs] for i in row_idxs])
+
+    # the original index of each row left, and the pivots' rows and columns
+    origin, pivot_rows, pivot_cols = list(range(len(rows))), [], []
+    start, prev = 0, 1
     for step, c in enumerate(prefix):
-        pivot, rows = matroid._pivot(rows, c - start)
+        p = next((i for i, row in enumerate(rows) if row[c - start]), None)
+        pivot, rows = matroid._pivot(rows, c - start, prev)
         grew = rank(prefix[: step + 1]) - rank(prefix[:step])
         assert (pivot is not None) == grew
         if pivot is not None:
             tp, tail = pivot
             assert tp != 0 and len(tail) == n - c - 1
+            pivot_rows.append(origin.pop(p))
+            pivot_cols.append(c)
+            assert tp == minor(pivot_rows, pivot_cols)
+            prev = tp
         start = c + 1
     assert len(rows) == len(columns[0]) - rank(prefix)
     assert all(len(row) == n - start for row in rows)
-    if prefix == list(range(len(prefix))):
-        assert all(gcd(*row) in (0, 1) for row in rows)
+    # Bareiss: each entry left is the minor on the pivot rows and columns and its own
+    for i, row in zip(origin, rows):
+        for j, x in enumerate(row, start=start):
+            assert x == minor(pivot_rows + [i], pivot_cols + [j])
     later = range(start, n)
     for size in range(len(later) + 1):
         for subset in combinations(later, size):
@@ -799,16 +810,15 @@ def test_group_minors_give_every_single_pair_and_triple_rank(data):
 
 
 def count_elimination_steps(monkeypatch):
-    """Count the subset search's elimination steps: :func:`_pivot` and the groups' own step."""
+    """Count the subset search's elimination steps, each one :func:`_pivot`."""
     calls = Counter()
-    for name in ("_pivot", "_leaf_rows"):
-        real = getattr(matroid, name)
+    real = matroid._pivot
 
-        def counted(rows, c, name=name, real=real):
-            calls[name] += 1
-            return real(rows, c)
+    def counted(rows, c, prev):
+        calls["_pivot"] += 1
+        return real(rows, c, prev)
 
-        monkeypatch.setattr(matroid, name, counted)
+    monkeypatch.setattr(matroid, "_pivot", counted)
     return calls
 
 
@@ -823,7 +833,7 @@ def test_bases_count_pivots_only_above_the_last_three_levels(monkeypatch):
     # sizes 1 to r - 3 take a step, the last of them the groups' own, since
     # the last three levels are read off minors: 15 + 120 + 680 + 3060
     # (r - 2 would add C(19, 5) = 11 628 more)
-    assert calls == {"_pivot": 15 + 120 + 680, "_leaf_rows": 3060}
+    assert calls == {"_pivot": 15 + 120 + 680 + 3060}
     assert calls.total() == sum(comb(n - r + d, d) for d in range(1, r - 2)) == 3875
 
 
