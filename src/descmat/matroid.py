@@ -14,23 +14,23 @@ in the frozen ground-set order.
 Bases, basis counts, uniformity and the Tutte polynomial come from one
 subset enumeration, a depth-first search over the ground set.  Each
 prefix carries the rows of its eliminated column matrix, cut to the
-columns after its last index, so a child's rank test is a lookup and
-extending the prefix is one pivot step.  The last three levels take no
-step: a prefix three short of the size sought is a group, which carries
-its own rows, and a single, pair or triple after it adds the rank of
-its columns in those rows, read off minors.  In the three rows of an
-independent (r − 3)-prefix of a rank-r matroid with r rows, a column
-adds 1 when it is nonzero, a pair (a, b) adds 2 when its cross product
-w = u_a × u_b is nonzero, and a triple adds 3 when w·u_c ≠ 0.  The
-step is fraction-free: each prefix carries its last pivot, by which its
-children's rebuilt rows divide exactly, so every entry stays a minor of
-the columns.  A prefix ending at the last column, which has no child,
-takes no step: its column in the parent's rows gives its rank.  Before
-its first step the search refuses work above ``ENUMERATION_CAP``, still
-counted as candidate subsets times rank³ (the cost of one elimination
-per subset; full weight 12, at 4×10⁷, counts its bases in about 0.13 s
-on a shared 2-vCPU Intel Xeon VM), so that every accepted or refused
-enumeration keeps its verdict.
+columns after its last index, which represent the contraction by the
+prefix: a child's rank test is a lookup, and extending the prefix is
+one fraction-free pivot step that divides by the prefix's last pivot,
+so every entry stays a minor of the columns.  A prefix ending at the
+last column takes no step: its column in the parent's rows gives its
+rank.  The search stops at leaves, which carry their own rows.  For one
+size they are groups, three short of it, whose later singles, pairs and
+triples add their rank in those rows, read off minors: in the three
+rows of an independent (r − 3)-prefix, a triple (a, b, c) completes a
+basis when (u_a × u_b)·u_c ≠ 0.  For every size they are tails,
+prefixes whose rows have rank at most 1: t later columns add 1 when one
+of them is nonzero in the rows, so binomials count each tail's
+extensions.  Before its first step the search refuses work above
+``ENUMERATION_CAP``, still priced as one elimination per candidate
+subset, rank³ each (2^n·r³ for the Tutte polynomial), so that every
+verdict stands; full weight 12, at 4×10⁷, counts its bases in about
+0.13 s on a shared 2-vCPU Intel Xeon VM.
 
 Counts and uniformity read the bases stream of the smaller side: when
 2r > n, of the dual, whose n − r rows come from the same pivot step and
@@ -41,7 +41,7 @@ T(x, y) = T*(y, x).
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 from .descendents import eisenstein_coordinates
@@ -183,7 +183,7 @@ class LinearMatroid:
         """All bases, in lexicographic order of label indices."""
         r, labels = self.rank(), self.labels
         self._check_cap((r,))
-        for idxs, rank, rows in _subset_groups(self._int_columns, self.nrows, (r,)):
+        for idxs, rank, rows in _subset_groups(self._int_columns, self.nrows, r):
             if rows is None:  # the empty basis, when r = 0
                 yield ()
             elif rank == len(idxs):  # an independent (r − 3)-prefix, or the root when r ≤ 3
@@ -205,28 +205,24 @@ class LinearMatroid:
         """Corank-nullity sum over all subsets, expanded once per (corank, nullity).
 
         When 2r > n it is the dual's with x and y swapped, T(x, y) = T*(y, x).
-        Otherwise every size is sought, so each :func:`_subset_groups` group
-        has at most three later columns, and a set of them adds to the
-        group's rank the size of its largest subset that
-        :func:`_independent_subsets` finds independent.
+        Otherwise every size is searched.  A prefix of size s and rank ρ
+        that comes alone is one subset; a tail with m later columns, z of
+        them zero in its rows, stands for C(z, t) subsets of size s + t and
+        rank ρ and C(m, t) − C(z, t) of rank ρ + 1, for t = 0..m.
         """
         r, n = self.rank(), len(self)
         self._check_cap(range(n + 1))
         if (side := self._smaller()) is not self:
             return TuttePolynomial({(j, i): c for (i, j), c in side.tutte().coeffs.items()})
+        tails: Counter = Counter()
+        for idxs, rank, rows in _subset_groups(self._int_columns, self.nrows, None):
+            m = 0 if rows is None else n - (idxs[-1] + 1 if idxs else 0)
+            tails[len(idxs), rank, m, m - sum(map(any, zip(*rows or ())))] += 1
         classes: Counter = Counter()
-        for idxs, rank, rows in _subset_groups(self._int_columns, self.nrows, range(n + 1)):
-            size = len(idxs)
-            if rows is None:
-                classes[r - rank, size - rank] += 1
-                continue
-            later = range(idxs[-1] + 1 if idxs else 0, n)  # at most three columns
-            found = set(chain.from_iterable(_independent_subsets(rows, 3, later)))
-            for j in range(1, len(later) + 1):
-                for subset in combinations(later, j):
-                    # the set adds the size of its largest subset found independent
-                    grew = max((len(s) for s in found if set(s) <= set(subset)), default=0)
-                    classes[r - rank - grew, size + j - rank - grew] += 1
+        for (size, rank, m, z), mult in tails.items():
+            for t in range(m + 1):
+                classes[r - rank, size + t - rank] += mult * comb(z, t)
+                classes[r - rank - 1, size + t - rank - 1] += mult * (comb(m, t) - comb(z, t))
         acc: Counter = Counter()
         for (corank, nullity), mult in classes.items():
             for i in range(corank + 1):
@@ -274,36 +270,30 @@ class LinearMatroid:
         return None
 
 
-def _subset_groups(columns, nrows: int, sizes):
-    """Every subset of ``columns`` with a size in ``sizes``, with its rank.
+def _subset_groups(columns, nrows: int, size):
+    """The subsets of ``columns`` of one ``size``, or of every size when it is None, with ranks.
 
     Explicit-stack depth-first search in lexicographic order.  A prefix
-    carries the rows of its eliminated column matrix, cut to the columns
-    after its last index, and its last pivot; :func:`_pivot` at the next
-    index, dividing by that pivot, gives a child's rows and whether its
-    rank grew, except for a child at the last index, whose rank grew
-    exactly when its column is nonzero.  Prefixes stop three short of the
-    largest wanted size (at the root when that size is at most 3), and
-    each such prefix comes as a group (idxs, rank, rows): its own rows,
-    cut to the columns after its last index.  idxs + (a,), idxs + (a, b)
-    and idxs + (a, b, c) then have rank + the rank of those columns in
-    the rows, which :func:`_independent_subsets` reads off minors, so the
-    last three levels take no step.  A wanted subset that is itself a
-    prefix comes alone, as (idxs, rank, None), ahead of its group; when
-    the largest wanted size is 0 that is the empty set and there is no
-    group.
+    carries its rows, cut to the columns after its last index, and its
+    last pivot; :func:`_pivot` at the next index, dividing by that pivot,
+    gives a child's rows and whether its rank grew, except at the last
+    index, where the rank grew exactly when the column is nonzero.  The
+    search stops at leaves (idxs, rank, rows).  For one size they are
+    groups, the prefixes three short of it (the root, when it is at most
+    3), whose later columns add their rank in the rows, which
+    :func:`_independent_subsets` reads off minors; size 0 is ((), 0, None)
+    alone.  For every size they are tails, prefixes whose rows have rank
+    at most 1 (:func:`_flat`), and each other prefix comes alone, as
+    (idxs, rank, None), ahead of its children.  Only the step multiplies
+    the root's rows, the raw columns, so a root of rank 1 in more than
+    one row is read a level down.
     """
     n = len(columns)
-    wanted = set(sizes)
-    top = max(wanted)
-    # a child of a size-d prefix must leave room to reach the next wanted size
-    room = [min(s for s in wanted if s > d) - d for d in range(top)]
     # an entry holds its parent's rows, cut to the columns from ``start``,
     # and the parent's last pivot
     stack = [((), [[col[i] for col in columns] for i in range(nrows)], 0, 0, 1)]
     while stack:
         idxs, rows, rank, start, prev = stack.pop()
-        size = len(idxs)
         if idxs and idxs[-1] == n - 1:  # childless: its column is the parent's last
             rank += any(row[-1] for row in rows)
             rows = []
@@ -312,16 +302,26 @@ def _subset_groups(columns, nrows: int, sizes):
             if pivot is not None:
                 rank += 1
                 prev = pivot[0]
-        if size in wanted:
-            yield idxs, rank, None
-        if size == top:
-            continue
         first = idxs[-1] + 1 if idxs else 0
-        if size + 3 >= top:
-            yield idxs, rank, rows
-            continue
-        children = range(first, n - room[size] + 1)
-        stack += ((idxs + (c,), rows, rank, first, prev) for c in reversed(children))
+        if size is None:  # a tail, else a prefix alone ahead of its children
+            leaf, room = len(rows) < 2 or first > n - 2 or idxs and _flat(rows), 1
+            yield idxs, rank, rows if leaf else None
+        else:  # a group, or the empty set alone for size 0; a child leaves room for the rest
+            leaf, room = len(idxs) + 3 >= size, size - len(idxs)
+            if leaf:
+                yield idxs, rank, rows if size else None
+        if not leaf:
+            stack += ((idxs + (c,), rows, rank, first, prev) for c in reversed(range(first, n - room + 1)))
+
+
+def _flat(rows) -> bool:
+    """Whether two or more integer ``rows``, each two or more long, have rank at most 1."""
+    a, b = rows[0], rows[1]
+    if a[0] * b[1] != a[1] * b[0]:  # the usual answer, from the first 2×2 minor
+        return False
+    rows = [row for row in rows if any(row)]  # then each nonzero row is a multiple of the first
+    q = next(j for j, x in enumerate(rows[0]) if x) if rows else 0
+    return all(rows[0][q] * y == x * row[q] for row in rows[1:] for x, y in zip(rows[0], row))
 
 
 def _independent_subsets(rows, depth, names):

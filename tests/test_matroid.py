@@ -279,6 +279,22 @@ def test_linear_matroid_validation():
     assert empty.bases_count() == 1
 
 
+# columns that are small multiples of one to three base vectors, or zero, in
+# up to five rows: many flat contractions, so tutte() reads many tails, and
+# often more rows than rank or 2r > n
+_TAIL_HEAVY = st.integers(min_value=1, max_value=5).flatmap(
+    lambda h: st.lists(
+        st.lists(st.integers(-3, 3), min_size=h, max_size=h), min_size=1, max_size=3
+    ).flatmap(
+        lambda base: st.lists(
+            st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=len(base), max_size=len(base)),
+            min_size=1,
+            max_size=9,
+        ).map(lambda coeffs: [[sum(c * v[i] for c, v in zip(cs, base)) for i in range(h)] for cs in coeffs])
+    )
+)
+
+
 @settings(max_examples=100)
 @given(
     st.integers(min_value=1, max_value=4).flatmap(
@@ -292,6 +308,7 @@ def test_linear_matroid_validation():
             max_size=7,
         )
     )
+    | _TAIL_HEAVY
 )
 def test_bases_match_fraction_elimination(columns):
     m = LinearMatroid(columns, range(len(columns)))
@@ -310,13 +327,15 @@ def test_bases_match_fraction_elimination(columns):
     # sides have degree <= n in x and in y, so the (n+1)^2 grid pins them
     t = m.tutte()
     assert all(i <= n and j <= n for i, j in t.coeffs)
-    ranks = [
+    ranks = Counter(
         (len(idxs), fraction_gauss_rank([columns[i] for i in idxs]))
         for idxs in _powerset(range(n))
-    ]
+    )
     for x in range(n + 1):
         for y in range(n + 1):
-            oracle = sum((x - 1) ** (r - ra) * (y - 1) ** (size - ra) for size, ra in ranks)
+            oracle = sum(
+                mult * (x - 1) ** (r - ra) * (y - 1) ** (size - ra) for (size, ra), mult in ranks.items()
+            )
             assert t(x, y) == oracle
 
 
@@ -400,23 +419,20 @@ def test_is_uniform_stops_at_the_first_dependent_subset(monkeypatch):
     assert groups == [()]
 
 
-def _group_subsets(of, sizes):
-    """(idxs, rank) of every subset of ``of`` with a size in ``sizes``, expanded from the
-    uncapped :func:`matroid._subset_groups` by the independent singles, pairs and triples."""
-    top = max(sizes)
-    for idxs, rank, rows in matroid._subset_groups(of._int_columns, of.nrows, sizes):
+def _group_subsets(of, size):
+    """(idxs, rank) of every ``size``-subset of ``of``, expanded from the uncapped
+    :func:`matroid._subset_groups` groups by their independent singles, pairs and triples."""
+    for idxs, rank, rows in matroid._subset_groups(of._int_columns, of.nrows, size):
         if rows is None:
             yield idxs, rank
             continue
         later = range(idxs[-1] + 1 if idxs else 0, len(of))
-        found = matroid._independent_subsets(rows, top - len(idxs), later)
+        found = matroid._independent_subsets(rows, size - len(idxs), later)
         independent = set(chain.from_iterable(found))
-        for j in range(1, top - len(idxs) + 1):
-            if len(idxs) + j in sizes:
-                for subset in combinations(later, j):
-                    # a set adds the size of its largest subset that the group finds independent
-                    grew = max(len(s) for s in _powerset(subset) if not s or s in independent)
-                    yield idxs + subset, rank + grew
+        for subset in combinations(later, size - len(idxs)):
+            # a set adds the size of its largest subset that the group finds independent
+            grew = max(len(s) for s in _powerset(subset) if not s or s in independent)
+            yield idxs + subset, rank + grew
 
 
 def _seeded_restriction(seed, size=12):
@@ -461,7 +477,7 @@ def test_dual_bases_are_the_complements_of_the_bases(name):
 
     def bases(of, size):
         # uncapped: full weight 12's dual is over the work cap
-        return [idxs for idxs, rank in _group_subsets(of, (size,)) if rank == size]
+        return [idxs for idxs, rank in _group_subsets(of, size) if rank == size]
 
     primal = bases(m, r)
     complements = [tuple(i for i in range(n) if i not in b) for b in bases(d, n - r)]
@@ -494,8 +510,17 @@ def test_tutte_is_the_dual_tutte_with_x_and_y_swapped(name):
     n, r = len(m), m.rank()
     t, dual = m.tutte(), m.dual().tutte()
     assert t == TuttePolynomial({(j, i): c for (i, j), c in dual.coeffs.items()})
-    # and the primal corank-nullity sum, from the uncapped groups of this side
-    classes = Counter((len(idxs), rank) for idxs, rank in _group_subsets(m, range(n + 1)))
+    # and the primal corank-nullity sum, from the uncapped one-size groups of
+    # the smaller side, size by size, not from the tails that tutte() reads:
+    # a dual subset of size s and rank ρ* is the complement of a primal one
+    # of rank r - s + ρ* (test_dual_bases_are_the_complements_of_the_bases
+    # checks the dual itself)
+    side = m._smaller()
+    classes = Counter(
+        (size, rank) if side is m else (n - size, r - size + rank)
+        for size in range(n + 1)
+        for _, rank in _group_subsets(side, size)
+    )
     for x in range(n + 1):
         for y in range(n + 1):
             assert t(x, y) == sum(
@@ -781,17 +806,14 @@ def test_group_minors_give_every_single_pair_and_triple_rank(data):
         for col in columns:
             col.append(a * col[i] + b * col[j])
     n, height = len(columns), len(columns[0])
-    top = data.draw(st.integers(1, n), label="largest size")
-    sizes = {top} | data.draw(st.sets(st.integers(0, top)), label="sizes")
+    top = data.draw(st.integers(1, n), label="size")
 
     def rank(idxs):
         return fraction_gauss_rank([columns[j] for j in idxs])
 
     groups = 0
-    for idxs, r, rows in matroid._subset_groups(columns, height, sizes):
+    for idxs, r, rows in matroid._subset_groups(columns, height, top):
         assert r == rank(idxs)
-        if rows is None:
-            continue
         groups += 1
         first = idxs[-1] + 1 if idxs else 0
         assert len(idxs) == max(top - 3, 0)
@@ -807,6 +829,20 @@ def test_group_minors_give_every_single_pair_and_triple_rank(data):
     assert groups > 0
     m = LinearMatroid(columns, range(n))
     assert m.bases_count() == len(list(m.bases()))
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_flat_rows_are_the_rows_of_rank_at_most_one(data):
+    # rows that are multiples of one row, some zero, with at most a few
+    # others: the first two rows alone often cannot tell
+    width = data.draw(st.integers(2, 6), label="width")
+    entry = st.integers(-3, 3) | st.integers(-(2**64), 2**64)
+    base = data.draw(st.lists(entry, min_size=width, max_size=width), label="base")
+    multiple = st.integers(-2, 2).map(lambda f: [f * x for x in base])
+    other = st.lists(entry, min_size=width, max_size=width)
+    rows = data.draw(st.lists(multiple | multiple | other, min_size=2, max_size=5), label="rows")
+    assert matroid._flat(rows) == (fraction_gauss_rank(rows) <= 1)
 
 
 def count_elimination_steps(monkeypatch):
@@ -839,14 +875,34 @@ def test_bases_count_pivots_only_above_the_last_three_levels(monkeypatch):
 
 def test_childless_prefixes_take_no_pivot(monkeypatch):
     m = descendent_matrix(10)
-    n = len(m)
-    assert (n, m.rank()) == (12, 5)
+    n, r = len(m), m.rank()
+    assert (n, r) == (12, 5)
+    rank = {idxs: fraction_gauss_rank([m._int_columns[i] for i in idxs]) for idxs in _powerset(range(n))}
     calls = count_elimination_steps(monkeypatch)
-    assert m.tutte() == _oracle_tutte(_oracle_counts(m))
-    # prefixes of sizes 1 to n - 3 are popped; those ending at n - 1 have no
-    # child and read their rank off the parent, so only the 2^(n-1) - n - 1
-    # of them inside the first n - 1 indices take a step (all of them took 4082)
-    assert calls.total() == 2 ** (n - 1) - n - 1 == 2035
+    assert m.tutte() == _oracle_tutte(Counter((len(idxs), ra) for idxs, ra in rank.items()))
+    # a prefix P whose later columns L add at most 1 to its rank is a tail and
+    # has no child; every other prefix has a child at each index of L, and all
+    # but the one at n - 1, which reads its rank off the parent, take a step.
+    # Were every prefix of rank at most r - 2 such a parent, as in a uniform
+    # matroid, that would be the sum over d = 1..r-1 of C(n - 1, d) = 561
+    def later(idxs):
+        return tuple(range(idxs[-1] + 1 if idxs else 0, n))
+
+    parents = [idxs for idxs in rank if rank[idxs + later(idxs)] - rank[idxs] >= 2]
+    assert calls.total() == sum(len(later(idxs)) - 1 for idxs in parents) == 551
+
+
+def test_full_weight_twelve_tutte_is_pinned(monkeypatch):
+    # 2^21 subsets times rank 7³ is above the cap; the polynomial was hashed
+    # from the minor-group route, before tutte() read tails
+    monkeypatch.setattr(matroid, "ENUMERATION_CAP", 10**12)
+    m = descendent_matrix(12)
+    t = m.tutte()
+    assert len(t.coeffs) == 40
+    assert t(1, 1) == m.bases_count() == 102670
+    assert t(2, 2) == 2**21
+    digest = hashlib.sha256((str(t) + "\n").encode()).hexdigest()
+    assert digest == "34849d2ad1ad7e1389976def8bb3b19860c13e7cb9fb2646cc4dee5f908c8e5a"
 
 
 def test_full_weight_twelve_bases_stream_is_pinned():
