@@ -12,7 +12,9 @@ is built from the Eisenstein coordinate columns of every weight-k label
 in the frozen ground-set order.
 
 Bases, basis counts, uniformity and the Tutte polynomial come from one
-subset enumeration, a depth-first search over the ground set.  Each
+subset enumeration, a depth-first search over the ground set.  It
+starts from the r coordinate rows that the rank's elimination pivots
+on: the other rows are combinations of them, so no rank changes.  Each
 prefix carries the rows of its eliminated column matrix, cut to the
 columns after its last index, which represent the contraction by the
 prefix: a child's rank test is a lookup, and extending the prefix is
@@ -99,9 +101,9 @@ class LinearMatroid:
     """Matroid of a labeled exact-rational column matrix.
 
     Column j is ``_scales[j]`` times the primitive integer column
-    ``_int_columns[j]``.  Only the rank and the dual are set after
-    construction, each once, and a race only computes the same value
-    twice, so instances are safe to use from several threads.
+    ``_int_columns[j]``.  Only the rank's pivot rows and the dual are
+    set after construction, each once, and a race only computes the same
+    value twice, so instances are safe to use from several threads.
     """
 
     def __init__(self, columns, labels, nrows: int | None = None):
@@ -128,7 +130,7 @@ class LinearMatroid:
         self._index = {label: i for i, label in enumerate(labels)}
         self._int_columns = tuple(tuple(ints) for ints, _ in split)
         self._scales = tuple(scale for _, scale in split)
-        self._rank: int | None = None
+        self._rank_rows: tuple[int, ...] | None = None
         self._dual: LinearMatroid | None = None
 
     def __len__(self):
@@ -160,9 +162,10 @@ class LinearMatroid:
         return sorted(idxs)
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = int_row_rank(self._int_columns)
-        return self._rank
+        if self._rank_rows is None:
+            pivots, _ = _echelon(self._int_columns, self.nrows)
+            self._rank_rows = tuple(i for i, pivot in enumerate(pivots) if pivot is not None)
+        return len(self._rank_rows)
 
     def is_independent(self, subset) -> bool:
         idxs = self._indices_of(subset)
@@ -183,7 +186,7 @@ class LinearMatroid:
         """All bases, in lexicographic order of label indices."""
         r, labels = self.rank(), self.labels
         self._check_cap((r,))
-        for idxs, rank, rows in _subset_groups(self._int_columns, self.nrows, r):
+        for idxs, rank, rows in _subset_groups(self._int_columns, self._rank_rows, r):
             if rows is None:  # the empty basis, when r = 0
                 yield ()
             elif rank == len(idxs):  # an independent (r − 3)-prefix, or the root when r ≤ 3
@@ -215,7 +218,7 @@ class LinearMatroid:
         if (side := self._smaller()) is not self:
             return TuttePolynomial({(j, i): c for (i, j), c in side.tutte().coeffs.items()})
         tails: Counter = Counter()
-        for idxs, rank, rows in _subset_groups(self._int_columns, self.nrows, None):
+        for idxs, rank, rows in _subset_groups(self._int_columns, self._rank_rows, None):
             m = 0 if rows is None else n - (idxs[-1] + 1 if idxs else 0)
             tails[len(idxs), rank, m, m - sum(map(any, zip(*rows or ())))] += 1
         classes: Counter = Counter()
@@ -270,28 +273,28 @@ class LinearMatroid:
         return None
 
 
-def _subset_groups(columns, nrows: int, size):
+def _subset_groups(columns, rank_rows, size):
     """The subsets of ``columns`` of one ``size``, or of every size when it is None, with ranks.
 
-    Explicit-stack depth-first search in lexicographic order.  A prefix
-    carries its rows, cut to the columns after its last index, and its
-    last pivot; :func:`_pivot` at the next index, dividing by that pivot,
-    gives a child's rows and whether its rank grew, except at the last
-    index, where the rank grew exactly when the column is nonzero.  The
-    search stops at leaves (idxs, rank, rows).  For one size they are
-    groups, the prefixes three short of it (the root, when it is at most
-    3), whose later columns add their rank in the rows, which
-    :func:`_independent_subsets` reads off minors; size 0 is ((), 0, None)
-    alone.  For every size they are tails, prefixes whose rows have rank
-    at most 1 (:func:`_flat`), and each other prefix comes alone, as
-    (idxs, rank, None), ahead of its children.  Only the step multiplies
-    the root's rows, the raw columns, so a root of rank 1 in more than
-    one row is read a level down.
+    Explicit-stack depth-first search in lexicographic order, from the
+    coordinate rows ``rank_rows``, in which every subset keeps its rank.
+    A prefix carries its rows, cut to the columns after its last index,
+    and its last pivot; :func:`_pivot` at the next index, dividing by
+    that pivot, gives a child's rows and whether its rank grew, except
+    at the last index, where the rank grew exactly when the column is
+    nonzero.  The search stops at leaves (idxs, rank, rows).  For one
+    size they are groups, the prefixes three short of it (the root, when
+    it is at most 3), whose later columns add their rank in the rows,
+    which :func:`_independent_subsets` reads off minors; size 0 is
+    ((), 0, None) alone.  For every size they are tails, prefixes whose
+    rows have rank at most 1 (at most one row, or :func:`_flat`), and
+    each other prefix comes alone, as (idxs, rank, None), ahead of its
+    children.  Only the step multiplies the root's rows, the raw columns.
     """
     n = len(columns)
     # an entry holds its parent's rows, cut to the columns from ``start``,
     # and the parent's last pivot
-    stack = [((), [[col[i] for col in columns] for i in range(nrows)], 0, 0, 1)]
+    stack = [((), [[col[i] for col in columns] for i in rank_rows], 0, 0, 1)]
     while stack:
         idxs, rows, rank, start, prev = stack.pop()
         if idxs and idxs[-1] == n - 1:  # childless: its column is the parent's last
@@ -325,7 +328,7 @@ def _flat(rows) -> bool:
 
 
 def _independent_subsets(rows, depth, names):
-    """[singles, pairs, triples]: the full-rank sets of the columns of integer ``rows``.
+    """[singles, pairs, triples]: the full-rank sets of the columns of ≤ 3 integer ``rows``.
 
     Each lists (pairs and triples lazily) the sets' tuples of column
     ``names`` in lexicographic order, up to size ``depth``.  A column has
@@ -334,25 +337,10 @@ def _independent_subsets(rows, depth, names):
     sign, two components of the cross product w = u × v, zero only with
     it.  The pair has rank 2 when they are nonzero, and (u, v, x) rank 3
     when the vectors of v and x have a nonzero 2×2 minor, ±u_p·(w·x).
-    Fewer rows are padded with zero rows; more take the general rule: a
-    pair's 2×2 minors m_ij over every row pair, a triple's
-    x_i·m_jk − x_j·m_ik + x_k·m_ij over every row triple.
+    Fewer rows are padded with zero rows.
     """
     if 0 < len(rows) < 3:
         rows = rows + [[0] * len(rows[0])] * (3 - len(rows))
-    if len(rows) > 3:  # the general rule, over every row pair and row triple
-        columns = [(a, col) for a, col in zip(names, zip(*rows)) if any(col)]
-        two, three = (list(combinations(range(len(rows)), k)) for k in (2, 3))
-        pairs = (
-            (a, b) for (a, u), (b, v) in (combinations(columns, 2) if depth > 1 else ())
-            if any(u[i] * v[j] != u[j] * v[i] for i, j in two)
-        )
-        triples = (
-            (a, b, c) for (a, u), (b, v), (c, x) in (combinations(columns, 3) if depth > 2 else ())
-            for m in [{(i, j): u[i] * v[j] - u[j] * v[i] for i, j in two}]
-            if any(x[i] * m[j, k] - x[j] * m[i, k] + x[k] * m[i, j] for i, j, k in three)
-        )
-        return [[(a,) for a, _ in columns], pairs, triples]
     columns = [
         (a, col, (0, 1, 2) if col[0] else (1, 0, 2) if col[1] else (2, 0, 1))
         for a, col in zip(names, zip(*rows)) if any(col)

@@ -4,9 +4,17 @@ None of this runs in the package.  :func:`partition_sum` is the
 degree-d descendent invariant as a Fraction sum over the partitions of
 d, the oracle of the integer kernel and of the lift.  The character
 double sum :func:`gw_character_oracle`, with characters by rim-hook
-peeling, is that sum's own oracle.  :func:`solve_exact`, one solve on a
-target-augmented column, is the oracle of the factored solver
-``descmat.linalg.factor_columns`` and of every route built on it.
+peeling, is that sum's own oracle.  The Fraction eliminations share no
+code with the package's fraction-free step ``descmat.linalg._pivot``:
+:func:`fraction_gauss_rank` and :func:`fraction_det` check its ranks and
+minors and every matroid rank built on them, and :func:`solve_exact`,
+a Gauss–Jordan solve on a target-augmented column, is the oracle of the
+factored solver ``descmat.linalg.factor_columns`` and of every route
+built on it.  From ``descmat.linalg`` it takes only the two error
+classes.  The package values read here are checked against independent
+ones elsewhere: ``as_label`` by ``test_label_canonicalization``,
+``partitions_of`` by ``test_enumeration_agrees_with_recurrence`` and
+``pk_constant`` by ``test_pk_constant_values``.
 """
 
 from fractions import Fraction
@@ -14,32 +22,79 @@ from functools import cache
 from math import factorial, prod
 
 from descmat.descendents import as_label
-from descmat.linalg import InconsistentSystemError, _primitive, _solve
+from descmat.linalg import InconsistentSystemError, SingularSystemError
 from descmat.partitions import partitions_of, pk_constant
 
 
-def solve_exact(columns, target) -> list[Fraction]:
-    """Solve sum_j x_j columns[j] = target exactly, using every row.
+def fraction_gauss_rank(rows):
+    """Reference rank by plain fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][c]:
+                f = m[i][c] / m[rank][c]
+                for j in range(c, len(m[0])):
+                    m[i][j] -= f * m[rank][j]
+        rank += 1
+    return rank
 
-    Elimination runs over all available rows, so a singular leading block
-    simply recruits later rows as pivots; rows that never pivot act as
-    consistency checks on the solution.  Raises
-    :class:`SingularSystemError` when the columns are dependent (or too
-    few rows carry a pivot) and :class:`InconsistentSystemError` when the
-    target lies outside the column span.
+
+def fraction_det(rows):
+    """Reference determinant of a square matrix by fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            for j in range(c, len(m)):
+                m[i][j] -= f * m[c][j]
+    return det
+
+
+def solve_exact(columns, target) -> list[Fraction]:
+    """Solve sum_j x_j columns[j] = target exactly, by Gauss–Jordan over every row.
+
+    Column j pivots on the first row from j on that is nonzero there,
+    so a singular leading block simply recruits later rows as pivots;
+    once every column has pivoted, the target entries of the rows that
+    did not must be zero.  Raises :class:`SingularSystemError` when the
+    columns are dependent (or too few rows carry a pivot) and
+    :class:`InconsistentSystemError` when the target lies outside the
+    column span.
     """
     ncols = len(columns)
     nrows = len(target)
     if any(len(col) != nrows for col in columns):
         raise ValueError("columns and target must have equal length")
-    rows = [_primitive(row)[0] for row in zip(*columns, target)]
-    x, den, rest = _solve(rows, ncols)
-    for i, (t,) in enumerate(rest, start=ncols):
-        if t:
+    m = [[Fraction(x) for x in row] for row in zip(*columns, target)]
+    for c in range(ncols):
+        piv = next((i for i in range(c, nrows) if m[i][c]), None)
+        if piv is None:
+            raise SingularSystemError(f"column {c} has no pivot: system is singular")
+        m[c], m[piv] = m[piv], m[c]
+        pivot_row = m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(nrows):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], pivot_row)]
+    for i in range(ncols, nrows):
+        if m[i][-1]:
             raise InconsistentSystemError(
                 f"row {i} is inconsistent: target is not in the column span"
             )
-    return [Fraction(xj, den) for (xj,) in x]
+    return [m[j][-1] for j in range(ncols)]
 
 
 def as_partition(parts) -> tuple[int, ...]:

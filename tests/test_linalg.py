@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,44 +14,8 @@ from descmat.linalg import (
     factor_columns,
     int_row_rank,
 )
-from oracles import solve_exact
-
-
-def fraction_gauss_rank(rows):
-    """Reference rank by plain fraction elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(rank + 1, len(m)):
-            if m[i][c]:
-                f = m[i][c] / m[rank][c]
-                for j in range(c, len(m[0])):
-                    m[i][j] -= f * m[rank][j]
-        rank += 1
-    return rank
-
-
-def fraction_det(rows):
-    """Reference determinant of a square matrix by fraction elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(len(m)):
-        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, len(m)):
-            f = m[i][c] / m[c][c]
-            for j in range(c, len(m)):
-                m[i][j] -= f * m[c][j]
-    return det
+import oracles
+from oracles import fraction_det, fraction_gauss_rank, solve_exact
 
 
 # small entries make dependencies likely; large ones grow the pivot step's products
@@ -246,3 +212,23 @@ def test_factored_solve_matches_solve_exact(cols_x_target):
         # the same target handed over as integer numerators and a denominator
         ints, den = _over_common_denominator(t)
         assert solve_outcome(lambda: factor_columns(int_cols, scales)(ints, den)) == factored
+
+
+def test_the_oracles_take_only_the_error_classes_from_linalg():
+    # an oracle that ran the package's elimination would share its faults
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    taken = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    modules = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    ]
+    assert {name for module, name in taken if module == "descmat.linalg"} == {
+        "InconsistentSystemError",
+        "SingularSystemError",
+    }
+    assert not [module for module, _ in taken if module in ("descmat", "descmat.matroid")]
+    assert not [name for name in modules if name.startswith("descmat")]

@@ -7,7 +7,6 @@ from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_linalg import fraction_det, fraction_gauss_rank
 
 from descmat import matroid
 from descmat.matroid import (
@@ -21,6 +20,7 @@ from descmat.partitions import partitions_min_two
 from descmat.qseries import QSeries, euler_function
 from descmat.quasimodular import qm_dimension
 from descmat.quasimodular import expand_in_eisenstein
+from oracles import fraction_det, fraction_gauss_rank
 
 
 A4 = [
@@ -340,22 +340,26 @@ def test_bases_match_fraction_elimination(columns):
 
 
 def forbid_subset_rank_tests(monkeypatch, ground_size):
-    """Let ``int_row_rank`` rank a whole ``ground_size``-column ground set and nothing else.
+    """Let ``_echelon`` (the rank's elimination) and ``int_row_rank`` run on a whole
+    ``ground_size``-column ground set and nothing else.
 
     The subset enumeration kernel may not even start.
     """
-    real = matroid.int_row_rank
 
-    def whole_ground_set_only(columns):
-        columns = list(columns)
-        if len(columns) != ground_size:
-            raise RuntimeError(f"rank test on {len(columns)} of {ground_size} columns ran")
-        return real(columns)
+    def whole_ground_set_only(real):
+        def rank_test(columns, *args):
+            columns = list(columns)
+            if len(columns) != ground_size:
+                raise RuntimeError(f"rank test on {len(columns)} of {ground_size} columns ran")
+            return real(columns, *args)
+
+        return rank_test
 
     def no_enumeration(*args):
         raise RuntimeError("the subset enumeration started")
 
-    monkeypatch.setattr(matroid, "int_row_rank", whole_ground_set_only)
+    for name in ("_echelon", "int_row_rank"):
+        monkeypatch.setattr(matroid, name, whole_ground_set_only(getattr(matroid, name)))
     monkeypatch.setattr(matroid, "_subset_groups", no_enumeration)
 
 
@@ -421,12 +425,24 @@ def test_is_uniform_stops_at_the_first_dependent_subset(monkeypatch):
 
 def _group_subsets(of, size):
     """(idxs, rank) of every ``size``-subset of ``of``, expanded from the uncapped
-    :func:`matroid._subset_groups` groups by their independent singles, pairs and triples."""
-    for idxs, rank, rows in matroid._subset_groups(of._int_columns, of.nrows, size):
+    :func:`matroid._subset_groups` groups by their independent singles, pairs and triples.
+
+    A group of more than three rows, which only a dependent prefix or a
+    size other than the rank leaves, is expanded by the Fraction rank of
+    each subset's columns in its rows.
+    """
+    of.rank()  # sets the rows the search starts from
+    for idxs, rank, rows in matroid._subset_groups(of._int_columns, of._rank_rows, size):
         if rows is None:
             yield idxs, rank
             continue
-        later = range(idxs[-1] + 1 if idxs else 0, len(of))
+        first = idxs[-1] + 1 if idxs else 0
+        later = range(first, len(of))
+        if len(rows) > 3:
+            for subset in combinations(later, size - len(idxs)):
+                block = [[row[j - first] for row in rows] for j in subset]
+                yield idxs + subset, rank + fraction_gauss_rank(block)
+            continue
         found = matroid._independent_subsets(rows, size - len(idxs), later)
         independent = set(chain.from_iterable(found))
         for subset in combinations(later, size - len(idxs)):
@@ -488,19 +504,22 @@ def test_dual_bases_are_the_complements_of_the_bases(name):
 
 def test_the_dual_is_eliminated_once(monkeypatch):
     m = named_restriction(16)
-    assert 2 * m.rank() > len(m)
+    n = len(m)
+    assert 2 * m.rank() > n
     calls = []
     real = matroid._echelon
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(rows, ncols):
+        # the [Cᵀ | Iₙ] elimination; the dual's own rank() eliminates its columns alone
+        if len(rows[0]) == ncols + n:
+            calls.append(ncols)
+        return real(rows, ncols)
 
     monkeypatch.setattr(matroid, "_echelon", counted)
     for call in (LinearMatroid.tutte, LinearMatroid.bases_count, LinearMatroid.is_uniform):
         call(m)
     assert m.dual() is m.dual()
-    assert len(calls) == 1
+    assert calls == [m.nrows]
 
 
 @pytest.mark.parametrize("name", [name for name in DUAL_MATROIDS if name != "full-12"])
@@ -585,9 +604,9 @@ def test_enumeration_takes_the_reduced_row_and_dual_routes(monkeypatch):
     searched = []
     real_groups = matroid._subset_groups
 
-    def recorded(columns, nrows, sizes):
-        searched.append((len(columns), nrows))
-        return real_groups(columns, nrows, sizes)
+    def recorded(columns, rank_rows, size):
+        searched.append((len(columns), len(rank_rows)))
+        return real_groups(columns, rank_rows, size)
 
     monkeypatch.setattr(matroid, "_subset_groups", recorded)
     for m in (descendent_matrix(8), named_restriction(16), descendent_matrix(14, positive=True)):
@@ -597,6 +616,13 @@ def test_enumeration_takes_the_reduced_row_and_dual_routes(monkeypatch):
             searched.clear()
             call(m)
             assert searched == [(n, n - r)], call
+
+    # a restriction of rank 3 on 7 coordinate rows is searched on 3 of them
+    m = descendent_matrix(12).restrict([(5, 1, 0), (3, 3, 0), (3, 1, 0, 0), (2, 1, 1, 0)])
+    assert (m.nrows, m.rank()) == (7, 3)
+    searched.clear()
+    assert len(list(m.bases())) == 4
+    assert searched == [(4, 3)]
 
 
 CAP_MATROIDS = {
@@ -798,28 +824,33 @@ def test_group_minors_give_every_single_pair_and_triple_rank(data):
             u, v = data.draw(st.lists(st.sampled_from(columns), min_size=2, max_size=2, unique_by=id))
             a, b = data.draw(st.sampled_from((1, -1, 2))), data.draw(st.sampled_from((1, -2, 5)))
             columns.append([a * x + b * y for x, y in zip(u, v)])
-    # rows that are combinations of others keep nrows above the rank, so
-    # groups of four or five rows come from prefixes of every rank
+    # rows that are combinations of others keep nrows above the rank, which
+    # the search must not see
     for _ in range(data.draw(st.integers(0, 2), label="dependent rows")):
         a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
         i, j = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, nrows - 1))
         for col in columns:
             col.append(a * col[i] + b * col[j])
-    n, height = len(columns), len(columns[0])
-    top = data.draw(st.integers(1, n), label="size")
+    n = len(columns)
+    m = LinearMatroid(columns, range(n))
+    # the rank itself often enough that groups of three rows are read
+    top = data.draw(st.just(max(m.rank(), 1)) | st.integers(1, n), label="size")
 
     def rank(idxs):
         return fraction_gauss_rank([columns[j] for j in idxs])
 
     groups = 0
-    for idxs, r, rows in matroid._subset_groups(columns, height, top):
+    for idxs, r, rows in matroid._subset_groups(m._int_columns, m._rank_rows, top):
         assert r == rank(idxs)
         groups += 1
         first = idxs[-1] + 1 if idxs else 0
         assert len(idxs) == max(top - 3, 0)
-        # a group keeps one row per coordinate its prefix leaves unpivoted
-        assert len(rows) == (height - r if idxs[-1:] != (n - 1,) else 0)
+        # the search starts from the rank's rows, and a group keeps one row
+        # per row its prefix leaves unpivoted
+        assert len(rows) == m.rank() - r
         assert all(len(row) == n - first for row in rows)
+        if len(rows) > 3:  # a dependent prefix, or a size below the rank
+            continue
         later, depth = range(first, n), top - len(idxs)
         found = matroid._independent_subsets(rows, depth, later)
         for size in (1, 2, 3):
@@ -827,7 +858,6 @@ def test_group_minors_give_every_single_pair_and_triple_rank(data):
             expected = [s for s in combinations(later, size) if rank(idxs + s) == r + size]
             assert list(found[size - 1]) == (expected if size <= depth else [])
     assert groups > 0
-    m = LinearMatroid(columns, range(n))
     assert m.bases_count() == len(list(m.bases()))
 
 
@@ -890,6 +920,16 @@ def test_childless_prefixes_take_no_pivot(monkeypatch):
 
     parents = [idxs for idxs in rank if rank[idxs + later(idxs)] - rank[idxs] >= 2]
     assert calls.total() == sum(len(later(idxs)) - 1 for idxs in parents) == 551
+
+
+def test_a_rank_one_root_is_a_tail_in_any_number_of_rows(monkeypatch):
+    # rank 1 on 3 rows: the search starts from the one row the rank pivots
+    # on, so the root is a tail and the polynomial is read off binomials
+    m = LinearMatroid([(2, 4, 6), (1, 2, 3), (-1, -2, -3), (0, 0, 0), (5, 10, 15)], "abcde")
+    assert (m.nrows, m.rank()) == (3, 1)
+    calls = count_elimination_steps(monkeypatch)
+    assert m.tutte() == _oracle_tutte(_oracle_counts(m))
+    assert calls.total() == 0
 
 
 def test_full_weight_twelve_tutte_is_pinned(monkeypatch):
