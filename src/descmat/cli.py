@@ -25,8 +25,8 @@ _TRIPLE_TYPES = [1, 2, 3, 4, 5, 6, 7, 8]  # sorted(decomposition.GENERATOR_TRIPL
 # about 0.75 s cold on a 2-vCPU Xeon VM
 _MAX_DEGREE = 500
 # `matroid` and `conjecture-check` list every partition of each weight up to
-# --max-weight; a cold weight-26 matrix and its rank take about 1.7 s on a
-# 2-vCPU Xeon VM
+# --max-weight; on a 2-vCPU Xeon VM a cold weight-26 matrix takes about 1.6 s,
+# and its rank, read off its first 21 columns, about 0.2 s
 _MAX_WEIGHT_CEILING = 26
 
 
@@ -158,16 +158,22 @@ def _label_list_str(labels) -> str:
 
 
 def _cmd_matroid(args) -> int:
-    from .matroid import check_weight, descendent_labels, descendent_matrix
+    from .matroid import check_cap, check_weight, descendent_labels, descendent_matrix, descendent_rank
     from .qseries import fraction_str
     from .quasimodular import eisenstein_monomials
 
     k = args.weight
     check_weight(k, args.max_weight)
+    labels = descendent_labels(k, positive=args.positive)
     if args.action == "groundset":
-        labels = descendent_labels(k, positive=args.positive)
         _emit(args, [_label_list_str(labels)], [list(lab) for lab in labels])
         return 0
+    if args.action != "matrix":  # the rank answers `rank` and prices the rest before any build
+        r = descendent_rank(k, positive=args.positive, max_weight=args.max_weight)
+        if args.action == "rank":
+            _emit(args, [str(r)], {"weight": k, "positive": args.positive, "rank": r})
+            return 0
+        check_cap(len(labels), r, range(len(labels) + 1) if args.action == "tutte" else (r,))
     m = descendent_matrix(k, positive=args.positive, max_weight=args.max_weight)
     if args.action == "matrix":
         rows = m.matrix()
@@ -179,8 +185,6 @@ def _cmd_matroid(args) -> int:
             "matrix": [[fraction_str(x) for x in row] for row in rows],
         }
         _emit(args, _format_matrix(rows), payload)
-    elif args.action == "rank":
-        _emit(args, [str(m.rank())], {"weight": k, "positive": args.positive, "rank": m.rank()})
     elif args.action == "count":
         count = m.bases_count()
         _emit(args, [str(count)], {"weight": k, "positive": args.positive, "count": count})
@@ -339,23 +343,18 @@ def _cmd_tau_check(args) -> int:
 
 
 def _cmd_conjecture_check(args) -> int:
-    from .matroid import descendent_matrix, named_restriction
+    from .matroid import descendent_rank, named_restriction
     from .quasimodular import qm_dimension
 
     if args.max_weight < 4:
         raise ValueError(
             f"conjecture-check starts at weight 4; got --max-weight {args.max_weight}"
         )
-    lines = []
-    ranks = []
+    lines, ranks, restrictions = [], [], []
     for k in range(4, args.max_weight + 1, 2):
-        m = descendent_matrix(k, max_weight=args.max_weight)
-        r, dim = m.rank(), qm_dimension(k)
+        r, dim = descendent_rank(k, max_weight=args.max_weight), qm_dimension(k)
         ranks.append({"weight": k, "rank": r, "dimension": dim, "match": r == dim})
-        lines.append(
-            f"weight {k}: rank {r} {'==' if r == dim else '!='} dim {dim}"
-        )
-    restrictions = []
+        lines.append(f"weight {k}: rank {r} {'==' if r == dim else '!='} dim {dim}")
     for k in (14, 16, 18):
         if k > args.max_weight:
             continue

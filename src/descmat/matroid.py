@@ -9,7 +9,10 @@ the dual (eliminated once, on first use) and the subset search below
 read the integer columns alone and take the package's elimination
 step, :func:`~descmat.linalg._pivot`.  The weight-k descendent matroid
 is built from the Eisenstein coordinate columns of every weight-k label
-in the frozen ground-set order.
+in the frozen ground-set order.  Its rank is at most nrows =
+qm_dimension(k), so :func:`descendent_rank` builds the first nrows
+columns and stops there when they are independent, and
+:func:`named_restriction` builds only the labels it keeps.
 
 Bases, basis counts, uniformity and the Tutte polynomial come from one
 subset enumeration, a depth-first search over the ground set.  It
@@ -32,7 +35,8 @@ extensions.  Before its first step the search refuses work above
 ``ENUMERATION_CAP``, still priced as one elimination per candidate
 subset, rank³ each (2^n·r³ for the Tutte polynomial), so that every
 verdict stands; full weight 12, at 4×10⁷, counts its bases in about
-0.13 s on a shared 2-vCPU Intel Xeon VM.
+0.13 s on a shared 2-vCPU Intel Xeon VM.  The price depends on n, r and
+the sizes alone (:func:`check_cap`), so the CLI refuses before building.
 
 Counts and uniformity read the bases stream of the smaller side: when
 2r > n, of the dual, whose n − r rows come from the same pivot step and
@@ -54,6 +58,20 @@ from .quasimodular import qm_dimension
 
 DEFAULT_MAX_WEIGHT = 18
 ENUMERATION_CAP = 2 * 10**8
+
+
+def check_cap(n: int, r: int, sizes) -> None:
+    """Raise ValueError when the subsets of each size in ``sizes`` are above the work cap.
+
+    The work is priced from the ground-set size n and the rank r alone.
+    """
+    candidates = sum(comb(n, s) for s in sizes)
+    if candidates * r**3 > ENUMERATION_CAP:
+        subsets = " + ".join(f"C({n}, {s})" for s in sizes)
+        raise ValueError(
+            f"enumeration capped: {subsets} = {candidates} subsets times "
+            f"rank {r}³ is {candidates * r**3}, above {ENUMERATION_CAP}"
+        )
 
 
 class TuttePolynomial:
@@ -171,21 +189,10 @@ class LinearMatroid:
         idxs = self._indices_of(subset)
         return int_row_rank([self._int_columns[i] for i in idxs]) == len(idxs)
 
-    def _check_cap(self, sizes) -> None:
-        """Raise ValueError when the subsets of each size in ``sizes`` are above the work cap."""
-        n, r = len(self), self.rank()
-        candidates = sum(comb(n, s) for s in sizes)
-        if candidates * r**3 > ENUMERATION_CAP:
-            subsets = " + ".join(f"C({n}, {s})" for s in sizes)
-            raise ValueError(
-                f"enumeration capped: {subsets} = {candidates} subsets times "
-                f"rank {r}³ is {candidates * r**3}, above {ENUMERATION_CAP}"
-            )
-
     def bases(self):
         """All bases, in lexicographic order of label indices."""
         r, labels = self.rank(), self.labels
-        self._check_cap((r,))
+        check_cap(len(self), r, (r,))
         for idxs, rank, rows in _subset_groups(self._int_columns, self._rank_rows, r):
             if rows is None:  # the empty basis, when r = 0
                 yield ()
@@ -201,7 +208,7 @@ class LinearMatroid:
 
     def bases_count(self) -> int:
         """The number of bases, listed on the smaller side: the dual's are their complements."""
-        self._check_cap((self.rank(),))
+        check_cap(len(self), self.rank(), (self.rank(),))
         return sum(1 for _ in self._smaller().bases())
 
     def tutte(self) -> TuttePolynomial:
@@ -214,7 +221,7 @@ class LinearMatroid:
         rank ρ and C(m, t) − C(z, t) of rank ρ + 1, for t = 0..m.
         """
         r, n = self.rank(), len(self)
-        self._check_cap(range(n + 1))
+        check_cap(n, r, range(n + 1))
         if (side := self._smaller()) is not self:
             return TuttePolynomial({(j, i): c for (i, j), c in side.tutte().coeffs.items()})
         tails: Counter = Counter()
@@ -398,6 +405,23 @@ def descendent_matrix(
     return LinearMatroid(columns, labels, nrows=qm_dimension(k))
 
 
+def descendent_rank(k: int, positive: bool = False, max_weight: int = DEFAULT_MAX_WEIGHT) -> int:
+    """The rank of :func:`descendent_matrix`, building only the columns it needs.
+
+    The rank is at most nrows = qm_dimension(k), so when the first nrows
+    labels in the frozen order are independent it is nrows, and no other
+    column is built.  They are at every full weight from 4 and every
+    positive weight from 10 up to the CLI ceiling 26; otherwise the whole
+    matrix is ranked, reusing the head's memoized columns.
+    """
+    check_weight(k, max_weight)
+    nrows = qm_dimension(k)
+    head = [_primitive(eisenstein_coordinates(lab))[0] for lab in descendent_labels(k, positive)[:nrows]]
+    if len(head) == nrows and int_row_rank(head) == nrows:
+        return nrows
+    return descendent_matrix(k, positive, max_weight).rank()
+
+
 _NAMED_RESTRICTION_DROPS: dict[int, frozenset] = {
     14: frozenset({(3, 3, 2)}),
     16: frozenset({(4, 3, 3)}),
@@ -421,6 +445,5 @@ def named_restriction(k: int) -> LinearMatroid:
         raise ValueError(
             f"named restrictions exist for weights 14, 16, 18; got {k}"
         ) from None
-    m = descendent_matrix(k, positive=True)
-    keep = [lab for lab in m.labels if len(lab) <= 3 and lab not in drops]
-    return m.restrict(keep)
+    keep = [lab for lab in descendent_labels(k, positive=True) if len(lab) <= 3 and lab not in drops]
+    return LinearMatroid([eisenstein_coordinates(lab) for lab in keep], keep, nrows=qm_dimension(k))

@@ -10,7 +10,6 @@ from descmat import __version__, cli, decomposition, descendents, matroid, parti
 from descmat.cli import main
 from descmat.qseries import QSeries
 from test_descendents import forbid_everywhere
-from test_matroid import forbid_subset_rank_tests
 
 
 def run(capsys, *argv):
@@ -231,12 +230,18 @@ def test_enumeration_above_the_cap_is_refused(capsys):
         assert code == 1 and out == "" and "C(34, 8)" in err
 
 
-def test_work_above_the_cap_exits_one_before_any_rank_test(capsys, monkeypatch):
-    # positive weight 16 has C(21, 10) = 352 716 candidates at rank 10
-    forbid_subset_rank_tests(monkeypatch, 21)
-    for action in ("count", "bases"):
-        code, out, err = run(capsys, "matroid", action, "--weight", "16", "--positive")
-        assert code == 1 and out == "" and "enumeration capped" in err
+def test_work_above_the_cap_exits_one_before_the_matrix_is_built(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise RuntimeError("the whole matrix was built or searched")
+
+    monkeypatch.setattr(matroid, "descendent_matrix", no_build)
+    monkeypatch.setattr(matroid, "_subset_groups", no_build)
+    # positive weight 16 has C(21, 10) = 352 716 candidates at rank 10, and
+    # full weight 26 C(478, 21); each rank is read off its first columns
+    for weight in (["--weight", "16", "--positive"], ["--weight", "26", "--max-weight", "26"]):
+        for action in ("count", "bases", "tutte"):
+            code, out, err = run(capsys, "matroid", action, *weight)
+            assert code == 1 and out == "" and "enumeration capped" in err
 
 
 def test_degree_above_the_cap_exits_one_before_any_work(capsys, monkeypatch):
@@ -481,6 +486,21 @@ def test_each_command_loads_only_what_it_runs(command):
     if command in ("evaluate", "expand", "eisenstein"):
         assert "descmat.descendents" in loaded
         assert not {"descmat.matroid", "descmat.decomposition"} & set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        # the whole matrices have 55 columns, and 223 over weights 4-18
+        (["matroid", "rank", "--weight", "16"], 10),
+        (["conjecture-check"], 73),
+    ],
+    ids=["rank16", "conjecture-check"],
+)
+def test_rank_commands_build_only_the_columns_their_answer_needs(argv, built):
+    columns_built = "print(descmat.descendents._eisenstein_coordinates.cache_info().currsize)"
+    proc = fresh_python(RUN_MAIN + columns_built, *argv)
+    assert (proc.returncode, proc.stdout) == (0, f"0 {built}\n"), proc.stderr
 
 
 def test_json_output_loads_json():

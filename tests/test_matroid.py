@@ -105,13 +105,27 @@ def test_groundset_orders():
 
 
 def test_weight_guards():
-    with pytest.raises(ValueError):
-        descendent_matrix(7)
-    with pytest.raises(ValueError):
-        descendent_matrix(20)
-    with pytest.raises(ValueError):
-        descendent_matrix(8, max_weight=6)
+    for build in (descendent_matrix, matroid.descendent_rank):
+        with pytest.raises(ValueError):
+            build(7)
+        with pytest.raises(ValueError):
+            build(20)
+        with pytest.raises(ValueError):
+            build(8, max_weight=6)
     assert descendent_matrix(8, max_weight=8).rank() == qm_dimension(8)
+
+
+@pytest.mark.parametrize("positive", [False, True])
+@pytest.mark.parametrize("k", range(2, 15, 2))
+def test_descendent_rank_is_the_rank_of_the_whole_matrix(k, positive):
+    # positive weights 2-8 have a short or dependent head and rank the whole matrix
+    assert matroid.descendent_rank(k, positive) == fraction_gauss_rank(descendent_matrix(k, positive).columns)
+
+
+@pytest.mark.parametrize("positive", [False, True])
+@pytest.mark.parametrize("k", [16, 18])
+def test_descendent_rank_is_the_matrix_rank_at_sixteen_and_eighteen(k, positive):
+    assert matroid.descendent_rank(k, positive) == descendent_matrix(k, positive).rank()
 
 
 def test_degenerate_weight_two():
@@ -546,6 +560,16 @@ def test_tutte_is_the_dual_tutte_with_x_and_y_swapped(name):
                 mult * (x - 1) ** (r - rank) * (y - 1) ** (size - rank)
                 for (size, rank), mult in classes.items()
             )
+
+
+@pytest.mark.parametrize("k", [14, 16, 18])
+def test_named_restriction_is_the_restriction_of_the_positive_matrix(k):
+    m = named_restriction(k)
+    whole = descendent_matrix(k, positive=True)
+    drops = matroid._NAMED_RESTRICTION_DROPS[k]
+    expected = whole.restrict([lab for lab in whole.labels if len(lab) <= 3 and lab not in drops])
+    for attr in ("labels", "_int_columns", "_scales", "nrows"):
+        assert getattr(m, attr) == getattr(expected, attr)
 
 
 @pytest.mark.parametrize("k", [14, 16, 18])
