@@ -5,12 +5,12 @@ Two flavours of decomposition:
 * linear — the discriminant written over a basis of weight-12 descendent
   series, one decomposition per basis of the positive restriction; the
   scale of each is the least positive integer clearing all denominators,
-  recomputed here rather than read from anywhere.  The table takes one
-  particular solution, from the factored columns of its first basis,
-  and every row, the first included, is that solution plus the kernel
-  vector, from the matroid's dual, that cancels it off the basis: a
-  small integer system, since the complement of a basis is a basis of
-  the dual.  A one-off solve on each basis is the route's oracle.
+  recomputed here rather than read from anywhere.  Every row is the
+  one integer relation among the columns and the target that involves
+  the target, plus the combination of the others, the dual's rows, that
+  cancels it off the basis: a small integer system, since the complement
+  of a basis is a basis of the dual.  A one-off solve on each basis is
+  the route's oracle.
 * polynomial — the discriminant (or any weight-k form, a q-series
   target read at base(k)) written in monomials of one of the eight
   generator triples in weights 2, 4, 6.
@@ -22,7 +22,6 @@ q-expansion.
 """
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -34,7 +33,14 @@ from .descendents import (
     eisenstein_coordinates,
     weight,
 )
-from .linalg import _over_common_denominator, _primitive, _solve, factor_columns
+from .linalg import (
+    InconsistentSystemError,
+    _over_common_denominator,
+    _primitive,
+    _relations,
+    _solve,
+    factor_columns,
+)
 from .matroid import descendent_matrix
 from .qseries import QSeries, discriminant, sigma
 from .quasimodular import (
@@ -111,40 +117,33 @@ def all_positive_decompositions(k: int = 12) -> list[tuple[str, LinearDecomposit
 def _basis_decompositions(m, target_coords):
     """(indices, decomposition) of the target over every basis of ``m``, in order.
 
-    Column j of ``m`` is s_j times the integer column C_j, and the rows of
-    its dual span the kernel of C.  In the integer frame z_j = s_j x_j,
-    one particular solution z0 comes from the factored integer columns of
-    the first basis, which also raise :class:`InconsistentSystemError`
-    for a target outside their span, and every solution is z0 + Kᵀy.
-    The one over a basis B vanishes on the complement, and K restricted
-    to the complement is square and invertible (it is a basis of the
-    dual), so y solves that small integer system; every row, the first
-    included (where y = 0), is read this way.  A singular system raises
+    Column j of ``m`` is s_j times the primitive integer column C_j, and
+    the target s_t times t.  :func:`_relations` on C and t, over every
+    coordinate row, gives the relations K among the columns alone (the
+    dual's rows) and, exactly when the target is in the span, a last row
+    z with z_t ≠ 0, else :class:`InconsistentSystemError`.  The relation
+    a = z + Kᵀy over a basis vanishes on the complement, where K is
+    square and invertible (a basis of the dual), so y solves that small
+    integer system, and x_j = −a_j·s_t/(z_t·s_j); a singular one raises
     :class:`SingularSystemError`.
     """
-    bases = m.bases()
-    first = next(bases, None)
-    if first is None:
-        return
-    index = m._index
-    first_idxs = [index[label] for label in first]
-    solve = factor_columns([m._int_columns[j] for j in first_idxs], [1] * len(first_idxs))
-    z0 = dict(zip(first_idxs, solve(target_coords)))
-    # z0 = nums / den0, and the kernel rows as primitive integer rows
-    nums, den0 = _over_common_denominator([z0.get(j, 0) for j in range(len(m))])
-    kernel = [_primitive(row)[0] for row in m.dual().matrix()]
-    scales = m._scales
-    for basis in chain((first,), bases):
-        idxs = [index[label] for label in basis]
+    n = len(m)
+    t, s_t = _primitive(target_coords)
+    rows = _relations([*m._int_columns, t], m.nrows)
+    if not rows or not rows[-1][n]:
+        raise InconsistentSystemError("target is not in the column span")
+    *kernel, z = rows
+    factors = [-s_t / (z[n] * s) for s in m._scales]
+    for basis in m.bases():
+        idxs = [m._index[label] for label in basis]
         inside = set(idxs)
-        rows = [[*(row[c] for row in kernel), -nums[c]] for c in range(len(m)) if c not in inside]
+        rows = [[*(row[c] for row in kernel), -z[c]] for c in range(n) if c not in inside]
         y, den, _ = _solve(rows, len(kernel))
-        # z_j = (den·nums_j + Σ_i Y_i K_ij) / (den·den0), and x_j = z_j / s_j
+        # a_j = (den·z_j + Σ Y_i K_ij) / den, and x_j = a_j·factors[j]
         coefficients = tuple(
             Fraction(
-                (den * nums[j] + sum(yi * row[j] for (yi,), row in zip(y, kernel)))
-                * scales[j].denominator,
-                den * den0 * scales[j].numerator,
+                (den * z[j] + sum(yi * row[j] for (yi,), row in zip(y, kernel))) * factors[j].numerator,
+                den * factors[j].denominator,
             )
             for j in idxs
         )

@@ -11,10 +11,12 @@ back-substitutes through them.  The package's one solver,
 identity appended, so the factored columns then solve any number of
 targets; its oracle, a one-off solve on a target-augmented column, lives
 with the tests.  Back-substitution stays in integers too, over one
-running denominator, so a solution costs one Fraction per entry.  The
-subset search and the dual in :mod:`descmat.matroid` take the same
-step.  Rational rows become primitive integer rows by :func:`_primitive`:
-no floating point and no pivot tolerance.
+running denominator, so a solution costs one Fraction per entry.
+:func:`_relations` keeps the rows that never pivot, the relations among
+vectors, which give the dual in :mod:`descmat.matroid` and every row of
+the discriminant table; the subset search takes the same step.
+Rational rows become primitive integer rows by :func:`_primitive`: no
+floating point and no pivot tolerance.
 """
 
 from fractions import Fraction
@@ -93,6 +95,18 @@ def int_row_rank(rows) -> int:
     rows = list(rows)
     pivots, _ = _echelon(rows, len(rows[0]) if rows else 0)
     return len(pivots) - pivots.count(None)
+
+
+def _relations(vectors, ncols: int) -> list[list[int]]:
+    """The primitive integer rows a with Σ a_j·vectors[j] = 0 on the first ``ncols`` entries.
+
+    They are the rows of [vectors | I] that :func:`_echelon` leaves after
+    the first ``ncols`` columns, in input order: one per vector that never
+    pivots, together a basis of every such a.
+    """
+    n = len(vectors)
+    rows = [[*v[:ncols], *(int(i == j) for i in range(n))] for j, v in enumerate(vectors)]
+    return [_primitive(row)[0] for row in _echelon(rows, ncols)[1]]
 
 
 def _solve(rows, ncols: int):

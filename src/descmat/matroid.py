@@ -29,19 +29,20 @@ size they are groups, three short of it, whose later singles, pairs and
 triples add their rank in those rows, read off minors: in the three
 rows of an independent (r − 3)-prefix, a triple (a, b, c) completes a
 basis when (u_a × u_b)·u_c ≠ 0.  For every size they are tails,
-prefixes whose rows have rank at most 1: t later columns add 1 when one
-of them is nonzero in the rows, so binomials count each tail's
-extensions.  Before its first step the search refuses work above
-``ENUMERATION_CAP``, still priced as one elimination per candidate
-subset, rank³ each (2^n·r³ for the Tutte polynomial), so that every
-verdict stands; full weight 12, at 4×10⁷, counts its bases in about
-0.13 s on a shared 2-vCPU Intel Xeon VM.  The price depends on n, r and
-the sizes alone (:func:`check_cap`), so the CLI refuses before building.
+prefixes with at most one row or at most one later column, whose rows
+have rank at most 1: t later columns add 1 when one of them is nonzero
+in the rows, so binomials count each tail's extensions.  Before its
+first step the search refuses work above ``ENUMERATION_CAP``, still
+priced as one elimination per candidate subset, rank³ each (2^n·r³
+for the Tutte polynomial), so that every verdict stands; full weight
+12, at 4×10⁷, counts its bases in about 0.13 s on a shared 2-vCPU Intel
+Xeon VM.  The price depends on n, r and the sizes alone
+(:func:`check_cap`), so the CLI refuses before building.
 
 Counts and uniformity read the bases stream of the smaller side: when
-2r > n, of the dual, whose n − r rows come from the same pivot step and
-whose bases are the complements.  The Tutte polynomial is tallied by
-(corank, nullity) on that side too, and read on the dual as
+2r > n, of the dual, whose n − r rows are the relations among the
+columns and whose bases are the complements.  The Tutte polynomial is
+tallied by (corank, nullity) on that side too, and read on the dual as
 T(x, y) = T*(y, x).
 """
 
@@ -51,7 +52,7 @@ from itertools import combinations
 from math import comb
 
 from .descendents import eisenstein_coordinates
-from .linalg import _echelon, _pivot, _primitive, int_row_rank
+from .linalg import _echelon, _pivot, _primitive, _relations, int_row_rank
 from .partitions import partitions_min_two
 from .qseries import join_signed
 from .quasimodular import qm_dimension
@@ -253,17 +254,12 @@ class LinearMatroid:
     def dual(self) -> "LinearMatroid":
         """The dual matroid on the same labels, in the same order, built once.
 
-        Its rows are a basis of the kernel of the integer column matrix C:
-        the rows of [Cᵀ | Iₙ] left over once :func:`_echelon` has
-        eliminated the first ``nrows`` columns, each made primitive, as
-        those minors share a large common factor.
+        Its rows are a basis of the kernel of the integer column matrix C,
+        the relations among its columns (:func:`~descmat.linalg._relations`).
         """
         if self._dual is None:
-            n = len(self)
-            rows = [[*col, *(int(i == j) for i in range(n))] for j, col in enumerate(self._int_columns)]
-            _, rows = _echelon(rows, self.nrows)
-            rows = [_primitive(row)[0] for row in rows]
-            columns = [tuple(a[j] for a in rows) for j in range(n)]
+            rows = _relations(self._int_columns, self.nrows)
+            columns = [tuple(a[j] for a in rows) for j in range(len(self))]
             self._dual = LinearMatroid(columns, self.labels, nrows=len(rows))
         return self._dual
 
@@ -293,10 +289,10 @@ def _subset_groups(columns, rank_rows, size):
     size they are groups, the prefixes three short of it (the root, when
     it is at most 3), whose later columns add their rank in the rows,
     which :func:`_independent_subsets` reads off minors; size 0 is
-    ((), 0, None) alone.  For every size they are tails, prefixes whose
-    rows have rank at most 1 (at most one row, or :func:`_flat`), and
-    each other prefix comes alone, as (idxs, rank, None), ahead of its
-    children.  Only the step multiplies the root's rows, the raw columns.
+    ((), 0, None) alone.  For every size they are tails, prefixes with
+    at most one row or at most one later column, and each other prefix
+    comes alone, as (idxs, rank, None), ahead of its children.  Only the
+    step multiplies the root's rows, the raw columns.
     """
     n = len(columns)
     # an entry holds its parent's rows, cut to the columns from ``start``,
@@ -314,7 +310,7 @@ def _subset_groups(columns, rank_rows, size):
                 prev = pivot[0]
         first = idxs[-1] + 1 if idxs else 0
         if size is None:  # a tail, else a prefix alone ahead of its children
-            leaf, room = len(rows) < 2 or first > n - 2 or idxs and _flat(rows), 1
+            leaf, room = len(rows) < 2 or first > n - 2, 1
             yield idxs, rank, rows if leaf else None
         else:  # a group, or the empty set alone for size 0; a child leaves room for the rest
             leaf, room = len(idxs) + 3 >= size, size - len(idxs)
@@ -322,16 +318,6 @@ def _subset_groups(columns, rank_rows, size):
                 yield idxs, rank, rows if size else None
         if not leaf:
             stack += ((idxs + (c,), rows, rank, first, prev) for c in reversed(range(first, n - room + 1)))
-
-
-def _flat(rows) -> bool:
-    """Whether two or more integer ``rows``, each two or more long, have rank at most 1."""
-    a, b = rows[0], rows[1]
-    if a[0] * b[1] != a[1] * b[0]:  # the usual answer, from the first 2×2 minor
-        return False
-    rows = [row for row in rows if any(row)]  # then each nonzero row is a multiple of the first
-    q = next(j for j, x in enumerate(rows[0]) if x) if rows else 0
-    return all(rows[0][q] * y == x * row[q] for row in rows[1:] for x, y in zip(rows[0], row))
 
 
 def _independent_subsets(rows, depth, names):

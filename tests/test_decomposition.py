@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 
 import pytest
@@ -147,9 +148,40 @@ def test_kernel_route_equals_the_solve_on_every_full_weight_ten_basis():
         assert_same_decomposition(dec, solve_on(dec.basis, target))
 
 
+@pytest.mark.parametrize("edge", ["zero", "column", "minus three columns"])
+def test_kernel_route_equals_the_solve_on_edge_targets(edge):
+    m = descendent_matrix(10)
+    column = m.columns[4]
+    target = {
+        "zero": (0,) * m.nrows,
+        "column": column,
+        "minus three columns": tuple(-3 * x for x in column),
+    }[edge]
+    rows = list(_basis_decompositions(m, target))
+    assert len(rows) == 730
+    for _, dec in rows:
+        assert_same_decomposition(dec, solve_on(dec.basis, target))
+        if edge == "zero":
+            assert set(dec.coefficients) == {0} and dec.scale == 1
+        elif m.labels[4] in dec.basis:
+            expected = [int(label == m.labels[4]) for label in dec.basis]
+            assert dec.coefficients == tuple(expected if edge == "column" else [-3 * x for x in expected])
+
+
+def test_kernel_route_equals_the_solve_on_sampled_full_weight_twelve_bases():
+    # n - r = 14, so each row solves a 14-square system
+    m = descendent_matrix(12)
+    assert len(m) - m.rank() == 14
+    target = expand_in_eisenstein(discriminant(base_order(12)), 12)
+    rows = list(islice(_basis_decompositions(m, target), 5000))
+    assert [dec.basis for _, dec in rows] == list(islice(m.bases(), 5000))
+    for _, dec in rows[::50]:
+        assert_same_decomposition(dec, solve_on(dec.basis, target))
+
+
 def test_kernel_route_checks_the_target_on_a_restriction_of_lower_rank():
-    # rank 3 < 7 rows, so the first basis's factored columns keep four
-    # annihilator rows, and they alone decide whether the target is in the span
+    # rank 3 < 7 rows: the elimination runs over all seven, and the four
+    # past the rank alone decide whether the target is in the span
     four = ((5, 1, 0), (3, 3, 0), (3, 1, 0, 0), (2, 1, 1, 0))
     rng = random.Random(12)
     for labels, nbases in ((four[:3], 1), (four, 4)):
@@ -167,15 +199,21 @@ def test_kernel_route_checks_the_target_on_a_restriction_of_lower_rank():
 
 
 def test_the_positive_table_makes_one_exact_solve(monkeypatch):
-    calls = []
+    calls = Counter()
 
-    def counting_factor(columns, scales):
-        calls.append(len(columns))
-        return factor_columns(columns, scales)
+    def counted(name, real, size):
+        def call(*args):
+            calls[name, size(*args)] += 1
+            return real(*args)
 
-    monkeypatch.setattr(decomposition, "factor_columns", counting_factor)
+        monkeypatch.setattr(decomposition, name, call)
+
+    counted("factor_columns", factor_columns, lambda columns, scales: len(columns))
+    # the relations among the 9 columns and Δ, then one 2-square system per basis
+    counted("_relations", decomposition._relations, lambda vectors, ncols: len(vectors))
+    counted("_solve", decomposition._solve, lambda rows, ncols: ncols)
     assert len(all_positive_decompositions(12)) == 36
-    assert calls == [7]
+    assert calls == {("_relations", 10): 1, ("_solve", 2): 36}
 
 
 def test_kernel_route_refuses_a_dependent_set(monkeypatch):

@@ -1,5 +1,6 @@
 import ast
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from descmat.linalg import (
     _echelon,
     _over_common_denominator,
     _primitive,
+    _relations,
     factor_columns,
     int_row_rank,
 )
@@ -172,6 +174,34 @@ def test_solve_exact_verdicts_match_fraction_elimination(cols_and_target):
     else:
         x = solve_exact(cols, target)
         assert [sum(xj * c for xj, c in zip(x, row)) for row in rows] == target
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_relations_span_the_planted_dependencies(data):
+    # some vectors are integer combinations of earlier ones, and each
+    # carries entries past ``ncols`` that the relations must ignore
+    ncols = data.draw(st.integers(0, 5), label="ncols")
+    extra = data.draw(st.integers(0, 2), label="extra")
+    vector = st.lists(entries, min_size=ncols + extra, max_size=ncols + extra)
+    vectors = []
+    for _ in range(data.draw(st.integers(0, 7), label="count")):
+        if vectors and data.draw(st.booleans(), label="planted"):
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(vectors), max_size=len(vectors)))
+            tail = data.draw(st.lists(entries, min_size=extra, max_size=extra))
+            head = [sum(a * v[i] for a, v in zip(coeffs, vectors)) for i in range(ncols)]
+            vectors.append(head + tail)
+        else:
+            vectors.append(data.draw(vector))
+    relations = _relations(vectors, ncols)
+    for a in relations:
+        assert len(a) == len(vectors)
+        assert gcd(*a) == 1
+        assert all(sum(x * v[i] for x, v in zip(a, vectors)) == 0 for i in range(ncols))
+    cut = [v[:ncols] for v in vectors]
+    assert len(relations) == len(vectors) - fraction_gauss_rank(cut)
+    # and they are independent, so they span every relation
+    assert fraction_gauss_rank(relations) == len(relations)
 
 
 def solve_outcome(solve, *args):

@@ -518,22 +518,19 @@ def test_dual_bases_are_the_complements_of_the_bases(name):
 
 def test_the_dual_is_eliminated_once(monkeypatch):
     m = named_restriction(16)
-    n = len(m)
-    assert 2 * m.rank() > n
+    assert 2 * m.rank() > len(m)
     calls = []
-    real = matroid._echelon
+    real = matroid._relations
 
-    def counted(rows, ncols):
-        # the [Cᵀ | Iₙ] elimination; the dual's own rank() eliminates its columns alone
-        if len(rows[0]) == ncols + n:
-            calls.append(ncols)
-        return real(rows, ncols)
+    def counted(vectors, ncols):
+        calls.append((len(vectors), ncols))
+        return real(vectors, ncols)
 
-    monkeypatch.setattr(matroid, "_echelon", counted)
+    monkeypatch.setattr(matroid, "_relations", counted)
     for call in (LinearMatroid.tutte, LinearMatroid.bases_count, LinearMatroid.is_uniform):
         call(m)
     assert m.dual() is m.dual()
-    assert calls == [m.nrows]
+    assert calls == [(len(m), m.nrows)]
 
 
 @pytest.mark.parametrize("name", [name for name in DUAL_MATROIDS if name != "full-12"])
@@ -885,20 +882,6 @@ def test_group_minors_give_every_single_pair_and_triple_rank(data):
     assert m.bases_count() == len(list(m.bases()))
 
 
-@settings(max_examples=100)
-@given(st.data())
-def test_flat_rows_are_the_rows_of_rank_at_most_one(data):
-    # rows that are multiples of one row, some zero, with at most a few
-    # others: the first two rows alone often cannot tell
-    width = data.draw(st.integers(2, 6), label="width")
-    entry = st.integers(-3, 3) | st.integers(-(2**64), 2**64)
-    base = data.draw(st.lists(entry, min_size=width, max_size=width), label="base")
-    multiple = st.integers(-2, 2).map(lambda f: [f * x for x in base])
-    other = st.lists(entry, min_size=width, max_size=width)
-    rows = data.draw(st.lists(multiple | multiple | other, min_size=2, max_size=5), label="rows")
-    assert matroid._flat(rows) == (fraction_gauss_rank(rows) <= 1)
-
-
 def count_elimination_steps(monkeypatch):
     """Count the subset search's elimination steps, each one :func:`_pivot`."""
     calls = Counter()
@@ -934,16 +917,15 @@ def test_childless_prefixes_take_no_pivot(monkeypatch):
     rank = {idxs: fraction_gauss_rank([m._int_columns[i] for i in idxs]) for idxs in _powerset(range(n))}
     calls = count_elimination_steps(monkeypatch)
     assert m.tutte() == _oracle_tutte(Counter((len(idxs), ra) for idxs, ra in rank.items()))
-    # a prefix P whose later columns L add at most 1 to its rank is a tail and
-    # has no child; every other prefix has a child at each index of L, and all
-    # but the one at n - 1, which reads its rank off the parent, take a step.
-    # Were every prefix of rank at most r - 2 such a parent, as in a uniform
-    # matroid, that would be the sum over d = 1..r-1 of C(n - 1, d) = 561
+    # a prefix P keeps r - rank(P) rows; with at most one row or at most one
+    # later column it is a tail and has no child, and every other prefix has
+    # a child at each index of its later columns L, all but the one at n - 1,
+    # which reads its rank off the parent, taking a step
     def later(idxs):
         return tuple(range(idxs[-1] + 1 if idxs else 0, n))
 
-    parents = [idxs for idxs in rank if rank[idxs + later(idxs)] - rank[idxs] >= 2]
-    assert calls.total() == sum(len(later(idxs)) - 1 for idxs in parents) == 551
+    parents = [idxs for idxs in rank if r - rank[idxs] >= 2 and len(later(idxs)) >= 2]
+    assert calls.total() == sum(len(later(idxs)) - 1 for idxs in parents) == 563
 
 
 def test_a_rank_one_root_is_a_tail_in_any_number_of_rows(monkeypatch):
